@@ -1,4 +1,4 @@
-"""Benches: design-choice ablations called out in DESIGN.md.
+"""Benches: design-choice ablations the paper calls load-bearing.
 
 Not paper figures — these regenerate the sensitivity sweeps around
 Alecto's design constants (PB/DB boundaries, epoch length, Sandbox

@@ -47,9 +47,11 @@ Generated by ``python scripts/generate_experiments_md.py``.  All runs are
 deterministic (fixed seeds, process-stable trace hashing); absolute
 numbers come from the Python trace-driven simulator, so only *shapes*
 (orderings, ratios, trends) are comparable to the paper's gem5 numbers.
-See DESIGN.md for the substitution rationale and the per-experiment
-module index, and ``python -m repro experiment --all --json out.json``
-for the machine-readable form of the same rows.
+See docs/experiments.md for the per-experiment module index and how
+rows are keyed and regenerated, docs/architecture.md for the simulator's
+layers and the data flow behind every row, and
+``python -m repro experiment --all --json out.json`` for the
+machine-readable form of the same rows.
 
 ## Known deviations from the paper
 

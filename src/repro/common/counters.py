@@ -26,15 +26,28 @@ class SaturatingCounter:
     def value(self) -> int:
         return self._value
 
+    # increment/decrement inline _clamp: they run on every prefetcher
+    # training call, where the extra method call is measurable.
+
     def increment(self, amount: int = 1) -> int:
         """Add ``amount`` (saturating) and return the new value."""
-        self._value = self._clamp(self._value + amount)
-        return self._value
+        value = self._value + amount
+        if value > self.maximum:
+            value = self.maximum
+        elif value < self.minimum:
+            value = self.minimum
+        self._value = value
+        return value
 
     def decrement(self, amount: int = 1) -> int:
         """Subtract ``amount`` (saturating) and return the new value."""
-        self._value = self._clamp(self._value - amount)
-        return self._value
+        value = self._value - amount
+        if value < self.minimum:
+            value = self.minimum
+        elif value > self.maximum:
+            value = self.maximum
+        self._value = value
+        return value
 
     def reset(self, value: int = 0) -> None:
         self._value = self._clamp(value)

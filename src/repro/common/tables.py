@@ -161,6 +161,12 @@ class SetAssociativeTable(Generic[V]):
                 del entries[key]
             entries[key] = value
             return None
+        return self._admit(entries, key, value)
+
+    def _admit(
+        self, entries: Dict[int, V], key: int, value: V
+    ) -> Optional[Tuple[int, V]]:
+        """Add absent ``key`` to its set, evicting a victim if it is full."""
         self.stats.insertions += 1
         evicted = None
         if len(entries) >= self.ways:
@@ -177,11 +183,35 @@ class SetAssociativeTable(Generic[V]):
         return evicted
 
     def get_or_insert(self, key: int, factory: Callable[[], V]) -> V:
-        """Lookup ``key``; on miss insert ``factory()`` and return it."""
-        value = self.lookup(key)
-        if value is None:
-            value = factory()
-            self.insert(key, value)
+        """Lookup ``key``; on miss insert ``factory()`` and return it.
+
+        One hash for both halves; statistics, recency order, random-victim
+        draws and evictions are exactly those of ``lookup`` followed (on a
+        miss) by ``insert``.  A stored None counts as a hit and is then
+        overwritten, as that pair would do.
+        """
+        stats = self.stats
+        stats.lookups += 1
+        mixed = key & _MASK64
+        mixed = (mixed ^ (mixed >> 33)) * _MIX & _MASK64
+        index = (mixed ^ (mixed >> 33)) % self.num_sets
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = {}
+        else:
+            value = entries.get(key, _MISS)
+            if value is not _MISS:
+                stats.hits += 1
+                if self._is_lru:
+                    del entries[key]
+                    entries[key] = value
+                if value is not None:
+                    return value
+                value = entries[key] = factory()
+                return value
+        stats.misses += 1
+        value = factory()
+        self._admit(entries, key, value)
         return value
 
     def invalidate(self, key: int) -> bool:

@@ -1,4 +1,4 @@
-"""One module per paper figure/table (see DESIGN.md's experiment index).
+"""One module per paper figure/table (index: ``docs/experiments.md``).
 
 Every module registers an :class:`~repro.experiments.runner.Experiment`
 via :func:`repro.registry.register_experiment`: a ``run(accesses=...,

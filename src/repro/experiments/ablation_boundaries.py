@@ -1,6 +1,6 @@
 """Ablation: sensitivity to the Proficiency / Deficiency Boundaries.
 
-DESIGN.md calls out PB=0.75 / DB=0.05 (Section V-B) as load-bearing
+The paper calls out PB=0.75 / DB=0.05 (Section V-B) as load-bearing
 design constants.  This sweep shows the plateau around the paper's
 choice: too low a PB promotes junk prefetchers; too high a PB starves
 coverage; too high a DB blocks useful-but-imperfect prefetchers.

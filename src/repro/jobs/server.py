@@ -64,6 +64,9 @@ from repro.output import envelope
 
 _log = get_logger("jobs")
 
+#: Largest request body read, in bytes; far above any jobspec.
+MAX_BODY_BYTES = 1 << 20
+
 #: Schema identifier of the job status document.
 JOB_SCHEMA = "repro.job.v1"
 
@@ -508,9 +511,25 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
             extra_headers=extra_headers,
         )
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or None once a bad ``Content-Length`` has
+        been answered: 400 unless it is a decimal integer, 413 above
+        :data:`MAX_BODY_BYTES`.  The connection then closes, since the
+        unread body would otherwise be parsed as the next request."""
+        header = (self.headers.get("Content-Length") or "0").strip()
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length) if length else b""
+        self.close_connection = True
+        if length < 0:
+            self._error(400, f"invalid Content-Length: {header!r}")
+        else:
+            self._error(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        return None
 
     def _job_path(self):
         """Split ``/jobs/<id>[/results]`` → ``(job_id, tail)`` or ``None``."""
@@ -582,8 +601,11 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         if path != "/jobs":
             self._error(404, "not found")
             return
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            raw = json.loads(self._read_body() or b"{}")
+            raw = json.loads(body or b"{}")
         except ValueError:
             self._error(400, "request body must be a JSON jobspec")
             return

@@ -92,19 +92,20 @@ class PMPPrefetcher(Prefetcher):
 
     def _retire_region(self, entry: _AccumulationEntry) -> None:
         """Merge a finished region's footprint into the PHT."""
-        relative = [
-            offset - entry.trigger_offset
-            for offset in range(REGION_LINES)
-            if entry.bitmap >> offset & 1
-        ]
-        if len(relative) < 2:
+        bitmap = entry.bitmap
+        if not bitmap & (bitmap - 1):
             # A single touched line carries no spatial pattern.
             return
-        key = self._pht_key(entry.trigger_pc)
-        pattern = self._pht.lookup(key)
-        if pattern is None:
-            pattern = _PatternEntry()
-            self._pht.insert(key, pattern)
+        # Walk the set bits, lowest offset first.
+        trigger = entry.trigger_offset
+        relative = []
+        while bitmap:
+            low = bitmap & -bitmap
+            relative.append(low.bit_length() - 1 - trigger)
+            bitmap ^= low
+        pattern = self._pht.get_or_insert(
+            self._pht_key(entry.trigger_pc), _PatternEntry
+        )
         pattern.merge(relative)
 
     def _train(self, access: DemandAccess, degree: int) -> List[int]:

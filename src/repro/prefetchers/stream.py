@@ -47,6 +47,10 @@ class _IPEntry:
     confidence: SaturatingCounter
     direction: int = 1
 
+    @classmethod
+    def fresh(cls) -> "_IPEntry":
+        return cls(confidence=SaturatingCounter(0, 0, 3))
+
 
 @register_prefetcher("stream")
 class StreamPrefetcher(Prefetcher):
@@ -87,21 +91,17 @@ class StreamPrefetcher(Prefetcher):
         line = access.line
         region = line >> _REGION_LINE_SHIFT
 
-        region_entry = self._rst.lookup(region)
-        if region_entry is None:
-            region_entry = _RegionEntry(last_line=line)
-            region_entry.touched_bitmap = 1 << (line % _REGION_LINES)
-            self._rst.insert(region, region_entry)
-        else:
-            region_entry.touched_bitmap |= 1 << (line % _REGION_LINES)
-            if line != region_entry.last_line:
-                region_entry.direction = 1 if line > region_entry.last_line else -1
-                region_entry.last_line = line
+        # A fresh region starts at this line, so the update below only
+        # sets its bit.
+        region_entry = self._rst.get_or_insert(
+            region, lambda: _RegionEntry(last_line=line)
+        )
+        region_entry.touched_bitmap |= 1 << (line % _REGION_LINES)
+        if line != region_entry.last_line:
+            region_entry.direction = 1 if line > region_entry.last_line else -1
+            region_entry.last_line = line
 
-        ip_entry = self._ip_table.lookup(access.pc)
-        if ip_entry is None:
-            ip_entry = _IPEntry(confidence=SaturatingCounter(0, 0, 3))
-            self._ip_table.insert(access.pc, ip_entry)
+        ip_entry = self._ip_table.get_or_insert(access.pc, _IPEntry.fresh)
 
         distinct = region_entry.distinct_lines
         if distinct >= _DENSE_THRESHOLD:

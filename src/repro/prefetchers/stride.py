@@ -59,12 +59,11 @@ class StridePrefetcher(Prefetcher):
 
     def _train(self, access: DemandAccess, degree: int) -> List[int]:
         line = access.line
-        entry = self._ip_table.lookup(access.pc)
-        if entry is None:
-            self._ip_table.insert(access.pc, _StrideEntry(last_line=line))
-            self._last_confidence = 0.0
-            return []
-
+        # A fresh entry starts at this line: the zero delta below returns
+        # nothing at confidence 0.
+        entry = self._ip_table.get_or_insert(
+            access.pc, lambda: _StrideEntry(last_line=line)
+        )
         delta = line - entry.last_line
         entry.last_line = line
         if delta == 0:

@@ -24,6 +24,10 @@ class AllocationEntry:
 
     states: List[PrefetcherState] = field(default_factory=list)
 
+    def reset(self) -> None:
+        """Dead-counter escape hatch: return all prefetchers to UI."""
+        self.states = [PrefetcherState.ui() for _ in self.states]
+
     def any_aggressive(self) -> bool:
         # Inline the kind test: this runs once per demand access and the
         # property indirection of is_aggressive dominates at that rate.
@@ -99,11 +103,7 @@ class AllocationTable:
 
     def lookup(self, pc: int) -> AllocationEntry:
         """Return the entry for ``pc``, inserting a fresh all-UI one on miss."""
-        entry = self._table.lookup(pc)
-        if entry is None:
-            entry = self._fresh_entry()
-            self._table.insert(pc, entry)
-        return entry
+        return self._table.get_or_insert(pc, self._fresh_entry)
 
     def peek(self, pc: int) -> Optional[AllocationEntry]:
         return self._table.peek(pc)
@@ -112,9 +112,7 @@ class AllocationTable:
         """Dead-counter escape hatch: return all prefetchers to UI."""
         entry = self._table.peek(pc)
         if entry is not None:
-            entry.states = [
-                PrefetcherState.ui() for _ in range(self.num_prefetchers)
-            ]
+            entry.reset()
 
     @property
     def stats(self) -> TableStats:
@@ -137,8 +135,13 @@ class AllocationTable:
                 estimate to mean anything.
         """
         entry = self._table.peek(pc)
-        if entry is None:
-            return
+        if entry is not None:
+            self.apply_epoch(entry, accuracies)
+
+    def apply_epoch(
+        self, entry: AllocationEntry, accuracies: Sequence[Optional[float]]
+    ) -> None:
+        """:meth:`epoch_update` on an entry already in hand."""
         states = entry.states
         pb = self.proficiency_boundary
         # Each prefetcher takes at most one transition per epoch.

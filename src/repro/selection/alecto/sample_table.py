@@ -75,33 +75,71 @@ class SampleTable:
             entry_bits=1 + 9 + 16 * num_prefetchers + 7 + 8,
         )
 
+    def _fresh_entry(self) -> SampleEntry:
+        return SampleEntry(
+            issued=[0] * self.num_prefetchers,
+            confirmed=[0] * self.num_prefetchers,
+        )
+
     def entry_for(self, pc: int) -> SampleEntry:
         """Return (inserting if needed) the entry for ``pc``."""
-        entry = self._table.lookup(pc)
-        if entry is None:
-            entry = SampleEntry(
-                issued=[0] * self.num_prefetchers,
-                confirmed=[0] * self.num_prefetchers,
-            )
-            self._table.insert(pc, entry)
-        return entry
+        return self._table.get_or_insert(pc, self._fresh_entry)
 
     def peek(self, pc: int) -> Optional[SampleEntry]:
         return self._table.peek(pc)
 
-    # -- update paths ------------------------------------------------------------
+    # -- update rules, on an entry already in hand -------------------------------
+    #
+    # AlectoSelection.step probes the table once per demand access and
+    # applies every update below to that one entry; the PC-keyed methods
+    # further down are the same rules behind a probe.
+
+    @staticmethod
+    def add_issued(entry: SampleEntry, prefetcher_index: int, count: int = 1) -> None:
+        issued = entry.issued
+        issued[prefetcher_index] = min(_COUNTER_CAP, issued[prefetcher_index] + count)
+
+    @staticmethod
+    def add_confirmed(entry: SampleEntry, prefetcher_indices: List[int]) -> None:
+        confirmed = entry.confirmed
+        for index in prefetcher_indices:
+            confirmed[index] = min(_COUNTER_CAP, confirmed[index] + 1)
+
+    def add_demand(self, entry: SampleEntry) -> bool:
+        """Count a demand access; True when the entry's epoch elapses."""
+        entry.demand_counter += 1
+        return entry.demand_counter >= self.epoch_demands
+
+    #: How much one produced prefetch pays down the Dead Counter.  Burst
+    #: prefetchers (PMP replays a whole region on one trigger, then issues
+    #: nothing for dozens of accesses) must not look dead between triggers.
+    DEAD_REWARD = 16
+
+    def add_prediction_outcome(
+        self, entry: SampleEntry, produced_prefetch: bool
+    ) -> bool:
+        """Update the Dead Counter; True when the deadlock threshold fired.
+
+        The Dead Counter "increments each time Alecto fails to generate a
+        prefetch request during a prediction and decreases in other
+        situations" (Section IV-C).
+        """
+        dead = entry.dead_counter
+        if produced_prefetch:
+            dead.decrement(self.DEAD_REWARD)
+            return False
+        if dead.increment() >= self.dead_threshold:
+            dead.reset(0)
+            return True
+        return False
+
+    # -- update paths by PC ------------------------------------------------------
 
     def note_issued(self, pc: int, prefetcher_index: int, count: int = 1) -> None:
-        entry = self.entry_for(pc)
-        entry.issued[prefetcher_index] = min(
-            _COUNTER_CAP, entry.issued[prefetcher_index] + count
-        )
+        self.add_issued(self.entry_for(pc), prefetcher_index, count)
 
     def note_confirmed(self, pc: int, prefetcher_index: int) -> None:
-        entry = self.entry_for(pc)
-        entry.confirmed[prefetcher_index] = min(
-            _COUNTER_CAP, entry.confirmed[prefetcher_index] + 1
-        )
+        self.add_confirmed(self.entry_for(pc), [prefetcher_index])
 
     def note_demand(self, pc: int) -> Optional[SampleEntry]:
         """Count a demand access; returns the entry when an epoch elapses.
@@ -110,32 +148,11 @@ class SampleTable:
         transition and then calls :meth:`SampleEntry.reset_epoch`.
         """
         entry = self.entry_for(pc)
-        entry.demand_counter += 1
-        if entry.demand_counter >= self.epoch_demands:
-            return entry
-        return None
-
-    #: How much one produced prefetch pays down the Dead Counter.  Burst
-    #: prefetchers (PMP replays a whole region on one trigger, then issues
-    #: nothing for dozens of accesses) must not look dead between triggers.
-    DEAD_REWARD = 16
+        return entry if self.add_demand(entry) else None
 
     def note_prediction_outcome(self, pc: int, produced_prefetch: bool) -> bool:
-        """Update the Dead Counter; True when the deadlock threshold fired.
-
-        The Dead Counter "increments each time Alecto fails to generate a
-        prefetch request during a prediction and decreases in other
-        situations" (Section IV-C).
-        """
-        entry = self.entry_for(pc)
-        if produced_prefetch:
-            entry.dead_counter.decrement(self.DEAD_REWARD)
-            return False
-        entry.dead_counter.increment()
-        if entry.dead_counter.value >= self.dead_threshold:
-            entry.dead_counter.reset(0)
-            return True
-        return False
+        """:meth:`add_prediction_outcome` on ``pc``'s entry."""
+        return self.add_prediction_outcome(self.entry_for(pc), produced_prefetch)
 
     @property
     def stats(self) -> TableStats:

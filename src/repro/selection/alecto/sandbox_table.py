@@ -20,6 +20,7 @@ from typing import List
 
 from repro.common.hashing import fold_pc
 from repro.common.tables import SetAssociativeTable, TableStats
+from repro.common.types import PrefetchCandidate
 
 _PC_TAG_BITS = 6
 
@@ -56,12 +57,12 @@ class SandboxTable:
 
     def record_issue(self, line: int, pc: int, prefetcher_index: int) -> None:
         """Log an issued prefetch for ``line`` triggered by ``pc``."""
-        entry = self._table.lookup(line)
-        if entry is None:
-            entry = SandboxEntry(
+        entry = self._table.get_or_insert(
+            line,
+            lambda: SandboxEntry(
                 pc_tag=self.pc_tag(pc), valid=[False] * self.num_prefetchers
-            )
-            self._table.insert(line, entry)
+            ),
+        )
         entry.valid[prefetcher_index] = True
 
     # -- confirmation -------------------------------------------------------------
@@ -82,6 +83,15 @@ class SandboxTable:
         return confirmed
 
     # -- filtering ----------------------------------------------------------------
+
+    def drop_duplicates(
+        self, candidates: List[PrefetchCandidate]
+    ) -> List[PrefetchCandidate]:
+        """The candidates whose line has no live entry (step 6 filter)."""
+        peek = self._table.peek
+        survivors = [c for c in candidates if peek(c.line) is None]
+        self.duplicates_filtered += len(candidates) - len(survivors)
+        return survivors
 
     def is_duplicate(self, line: int) -> bool:
         """True when ``line`` was recently prefetched (step 6 filter)."""

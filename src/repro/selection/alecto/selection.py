@@ -17,13 +17,14 @@ request (the mechanism behind Fig. 1's table-miss reduction).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.types import DemandAccess, PrefetchCandidate
 from repro.prefetchers.base import Prefetcher
-from repro.selection.alecto.allocation_table import AllocationTable
-from repro.selection.alecto.sample_table import SampleTable
+from repro.selection.alecto.allocation_table import AllocationEntry, AllocationTable
+from repro.selection.alecto.sample_table import SampleEntry, SampleTable
 from repro.selection.alecto.sandbox_table import SandboxTable
+from repro.selection.alecto.states import PrefetcherState, StateKind
 from repro.selection.alecto.storage import alecto_storage_bits
 from repro.selection.base import AllocationDecision, SelectionAlgorithm, dedupe_by_line
 
@@ -82,8 +83,8 @@ class AlectoSelection(SelectionAlgorithm):
         self.config = config or AlectoConfig()
         cfg = self.config
         db_map = dict(cfg.db_overrides)
-        self._degree_overrides = dict(cfg.degree_overrides)
-        unknown = (set(db_map) | set(self._degree_overrides)) - {
+        degree_overrides = dict(cfg.degree_overrides)
+        unknown = (set(db_map) | set(degree_overrides)) - {
             p.name for p in self.prefetchers
         }
         if unknown:
@@ -114,114 +115,168 @@ class AlectoSelection(SelectionAlgorithm):
         )
         self._index_of = {p.name: i for i, p in enumerate(self.prefetchers)}
         self._prefetcher_names = [p.name for p in self.prefetchers]
+        self._degree_overrides_by_index = [
+            degree_overrides.get(p.name) for p in self.prefetchers
+        ]
         self.epochs_completed = 0
         self.deadlock_resets = 0
+        #: (access, Allocation entry, Sample entry) of the last step().
+        self._stepped: Optional[tuple] = None
 
     # -- protocol -----------------------------------------------------------------
+    #
+    # ``step`` is the simulator's per-access entry point: one pass that
+    # probes the Allocation and Sample Tables once each and hands both
+    # entries on to ``post_issue``.  The hooks after it apply the same
+    # rules (the private helpers below) one protocol step at a time,
+    # probing the tables themselves; ``SelectionAlgorithm.step`` composes
+    # them, and tests drive them directly.
+
+    def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
+        """Fig. 4 steps 1-6 for one demand request, tables probed once."""
+        pc = access.pc
+        sample_table = self.sample_table
+        sample = sample_table.entry_for(pc)
+        confirmed = self.sandbox_table.confirm(access.line, pc)
+        if confirmed:
+            sample_table.add_confirmed(sample, confirmed)
+        entry = self.allocation_table.lookup(pc)
+        # Degrees come from the states before this access's epoch update.
+        grants = self._grants(entry.states)
+        if sample_table.add_demand(sample):
+            self._end_epoch(entry, sample)
+        candidates: List[PrefetchCandidate] = []
+        for prefetcher, degree, next_level_from in grants:
+            produced = prefetcher.train(access, degree)
+            if next_level_from is not None:
+                for candidate in produced[next_level_from:]:
+                    candidate.to_next_level = True
+            candidates.extend(produced)
+        self._stepped = (access, entry, sample)
+        if not candidates:
+            return candidates
+        return self._filter(candidates, entry.states)
 
     def observe_demand(self, access: DemandAccess) -> None:
         """Steps 4/5: confirm earlier prefetches hit by this demand."""
-        for index in self.sandbox_table.confirm(access.line, access.pc):
-            self.sample_table.note_confirmed(access.pc, index)
+        confirmed = self.sandbox_table.confirm(access.line, access.pc)
+        if confirmed:
+            self.sample_table.add_confirmed(
+                self.sample_table.entry_for(access.pc), confirmed
+            )
 
     def allocate(self, access: DemandAccess) -> List[AllocationDecision]:
         """Steps 1/2: produce identifiers from the Allocation Table."""
         entry = self.allocation_table.lookup(access.pc)
-        cfg = self.config
-        prefetchers = self.prefetchers
-        names = self._prefetcher_names
-        override_get = self._degree_overrides.get
-        decisions: List[AllocationDecision] = []
-        for index, state in enumerate(entry.states):
-            if not state.receives_requests:
-                continue
-            override = override_get(names[index])
-            if override is not None:
-                degree = override
-                next_level_from = None
-            elif state.is_aggressive:
-                if cfg.fixed_degree is not None:
-                    degree = cfg.fixed_degree
-                    next_level_from = None
-                else:
-                    degree = cfg.conservative_degree + state.level + 1
-                    next_level_from = cfg.conservative_degree
-            else:  # UI
-                degree = cfg.conservative_degree
-                next_level_from = None
-            decisions.append(
-                AllocationDecision(
-                    prefetcher=prefetchers[index],
-                    degree=degree,
-                    next_level_from=next_level_from,
-                )
-            )
-
-        # Epoch bookkeeping happens on the demand path (Demand Counter).
-        finished = self.sample_table.note_demand(access.pc)
-        if finished is not None:
-            accuracies = [
-                finished.accuracy(i, cfg.min_issued_for_accuracy)
-                for i in range(len(self.prefetchers))
-            ]
-            self.allocation_table.epoch_update(access.pc, accuracies)
-            finished.reset_epoch()
-            self.epochs_completed += 1
+        decisions = [
+            AllocationDecision(prefetcher, degree, next_level_from)
+            for prefetcher, degree, next_level_from in self._grants(entry.states)
+        ]
+        sample = self.sample_table.entry_for(access.pc)
+        if self.sample_table.add_demand(sample):
+            self._end_epoch(entry, sample)
         return decisions
 
     def filter_prefetches(
         self, candidates: List[PrefetchCandidate], access: DemandAccess
     ) -> List[PrefetchCandidate]:
         """Step 6: Sandbox filtering, plus next-level annotation."""
-        deduped = dedupe_by_line(candidates, self._prefetcher_names)
-        survivors: List[PrefetchCandidate] = []
-        if not deduped:
-            return survivors
-        # One Allocation Table probe per batch instead of one per candidate.
         entry = self.allocation_table.peek(access.pc)
-        states = entry.states if entry is not None else None
-        index_of = self._index_of
-        cfg = self.config
-        per_prefetcher_rank: dict = {}
-        for candidate in deduped:
-            if self.sandbox_table.is_duplicate(candidate.line):
-                continue
-            rank = per_prefetcher_rank.get(candidate.prefetcher, 0)
-            per_prefetcher_rank[candidate.prefetcher] = rank + 1
-            state = (
-                states[index_of[candidate.prefetcher]]
-                if states is not None
-                else None
-            )
-            if (
-                state is not None
-                and state.is_aggressive
-                and cfg.fixed_degree is None
-                and rank >= cfg.conservative_degree
-            ):
-                candidate.to_next_level = True
-            survivors.append(candidate)
-        return survivors
+        return self._filter(candidates, entry.states if entry is not None else None)
 
     def post_issue(
         self, access: DemandAccess, issued: List[PrefetchCandidate]
     ) -> None:
         """Step 3 feedback: update Sandbox and Sample tables."""
-        for candidate in issued:
-            index = self._index_of[candidate.prefetcher]
-            self.sandbox_table.record_issue(candidate.line, access.pc, index)
-            self.sample_table.note_issued(access.pc, index)
+        pc = access.pc
+        stepped = self._stepped
+        if stepped is not None and stepped[0] is access:
+            # The request step() just handled: reuse its two entries.
+            _, entry, sample = stepped
+        else:
+            entry = self.allocation_table.peek(pc)
+            sample = None
+        if issued:
+            if sample is None:
+                sample = self.sample_table.entry_for(pc)
+            record_issue = self.sandbox_table.record_issue
+            add_issued = self.sample_table.add_issued
+            index_of = self._index_of
+            for candidate in issued:
+                index = index_of[candidate.prefetcher]
+                record_issue(candidate.line, pc, index)
+                add_issued(sample, index)
 
         # Dead-counter deadlock breaking (Section IV-C): only meaningful
         # when the PC claims an aggressive prefetcher yet none produces.
-        entry = self.allocation_table.peek(access.pc)
         if entry is not None and entry.any_aggressive():
-            fired = self.sample_table.note_prediction_outcome(
-                access.pc, produced_prefetch=bool(issued)
-            )
-            if fired:
-                self.allocation_table.reset_states(access.pc)
+            if sample is None:
+                sample = self.sample_table.entry_for(pc)
+            if self.sample_table.add_prediction_outcome(sample, bool(issued)):
+                entry.reset()
                 self.deadlock_resets += 1
+
+    # -- rules shared by step() and the hooks -------------------------------------
+
+    def _grants(
+        self, states: List[PrefetcherState]
+    ) -> List[Tuple[Prefetcher, int, Optional[int]]]:
+        """Degree policy: ``(prefetcher, degree, next_level_from)`` for each
+        prefetcher that receives the request (IB ones get nothing)."""
+        cfg = self.config
+        conservative = cfg.conservative_degree
+        fixed = cfg.fixed_degree
+        overrides = self._degree_overrides_by_index
+        prefetchers = self.prefetchers
+        grants = []
+        for index, state in enumerate(states):
+            kind = state.kind
+            if kind is StateKind.IB:
+                continue
+            override = overrides[index]
+            if override is not None:
+                grants.append((prefetchers[index], override, None))
+            elif kind is StateKind.UI:
+                grants.append((prefetchers[index], conservative, None))
+            elif fixed is not None:
+                grants.append((prefetchers[index], fixed, None))
+            else:  # IA_m: c lines here, m + 1 to the next level
+                grants.append(
+                    (prefetchers[index], conservative + state.level + 1, conservative)
+                )
+        return grants
+
+    def _end_epoch(self, entry: AllocationEntry, sample: SampleEntry) -> None:
+        """The Demand Counter elapsed: run the Fig. 5 transitions."""
+        min_issued = self.config.min_issued_for_accuracy
+        self.allocation_table.apply_epoch(
+            entry,
+            [sample.accuracy(i, min_issued) for i in range(len(self.prefetchers))],
+        )
+        sample.reset_epoch()
+        self.epochs_completed += 1
+
+    def _filter(
+        self,
+        candidates: List[PrefetchCandidate],
+        states: Optional[List[PrefetcherState]],
+    ) -> List[PrefetchCandidate]:
+        """Dedupe, drop Sandbox duplicates, and send an IA prefetcher's
+        candidates past its first ``c`` to the next level."""
+        survivors = self.sandbox_table.drop_duplicates(
+            dedupe_by_line(candidates, self._prefetcher_names)
+        )
+        if survivors and states is not None and self.config.fixed_degree is None:
+            conservative = self.config.conservative_degree
+            index_of = self._index_of
+            rank_of: dict = {}
+            for candidate in survivors:
+                name = candidate.prefetcher
+                rank = rank_of.get(name, 0)
+                rank_of[name] = rank + 1
+                if rank >= conservative and states[index_of[name]].kind is StateKind.IA:
+                    candidate.to_next_level = True
+        return survivors
 
     # -- helpers ------------------------------------------------------------------
 

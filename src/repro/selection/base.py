@@ -1,16 +1,23 @@
 """Interface every selection algorithm implements, and shared plumbing.
 
-The simulator drives a selector through a fixed per-demand-request
-protocol mirroring the paper's Fig. 4 data flow:
+A selector handles each demand request through a fixed protocol
+mirroring the paper's Fig. 4 data flow:
 
 1. ``observe_demand(access)`` — the request is visible to bookkeeping
    structures (Alecto's Sandbox/Sample tables) before any allocation.
 2. ``allocate(access)`` — decide which prefetchers receive the request for
    training and at what degree.
-3. The simulator trains the chosen prefetchers and collects candidates.
+3. The chosen prefetchers train and emit candidates.
 4. ``filter_prefetches(candidates, access)`` — dedupe / filter / annotate
    the batch; what survives is issued to the hierarchy.
 5. ``post_issue(access, issued)`` — feedback on what was actually issued.
+
+The simulator makes one call for steps 1-4: ``step(access)`` returns the
+batch to issue.  Its base implementation composes the four hooks in
+order, so a selector only implements the hooks; one on the hot path
+(Alecto) overrides ``step`` with a single pass that applies the same
+rules, and must return the same batch and leave the same state.  The
+simulator then issues the batch and calls ``post_issue``.
 
 Asynchronous events arrive via ``observe_prefetch_used`` /
 ``observe_prefetch_evicted`` (first demand hit on, or unused eviction of,
@@ -90,6 +97,23 @@ class SelectionAlgorithm(abc.ABC):
         return max(0, REGION_SHIFT - self.line_shift)
 
     # -- protocol ----------------------------------------------------------
+
+    def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
+        """Steps 1-4 for one demand request: the candidates to issue.
+
+        Trains each allocated prefetcher at its degree, marks candidates
+        at or past a decision's ``next_level_from`` for the next cache
+        level, and returns what ``filter_prefetches`` keeps.
+        """
+        self.observe_demand(access)
+        candidates: List[PrefetchCandidate] = []
+        for decision in self.allocate(access):
+            produced = decision.prefetcher.train(access, decision.degree)
+            if decision.next_level_from is not None:
+                for candidate in produced[decision.next_level_from:]:
+                    candidate.to_next_level = True
+            candidates.extend(produced)
+        return self.filter_prefetches(candidates, access)
 
     def observe_demand(self, access: DemandAccess) -> None:
         """Step 1: the demand request becomes visible to bookkeeping."""

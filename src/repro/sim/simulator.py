@@ -3,12 +3,12 @@
 Per demand request the loop follows the paper's Fig. 4 data flow:
 
 1. the core retires the preceding non-memory instructions;
-2. the demand request walks the hierarchy (timing) and is shown to the
-   selector's bookkeeping (``observe_demand``);
-3. the selector allocates the request to prefetchers (``allocate``) which
-   train and emit candidates;
-4. the selector filters the candidate batch (``filter_prefetches``);
-5. survivors are issued into the hierarchy and reported back
+2. the demand request walks the hierarchy (timing);
+3. one ``selector.step(access)`` call shows the request to the selector's
+   bookkeeping, allocates it to prefetchers, which train and emit
+   candidates, and filters the batch (the protocol of
+   :mod:`repro.selection.base`);
+4. survivors are issued into the hierarchy and reported back
    (``post_issue``).
 
 The multi-core loop keeps cores cycle-ordered (always stepping the core
@@ -28,7 +28,6 @@ from repro.common.types import (
     REGION_SHIFT,
     AccessType,
     DemandAccess,
-    PrefetchCandidate,
 )
 from repro.cpu.core import CoreModel, CoreStats
 from repro.cpu.trace import TraceRecord
@@ -171,7 +170,8 @@ class _CoreContext:
         """Execute a stream of trace records with the loop state in locals.
 
         The per-access data flow is the paper's Fig. 4 (see module
-        docstring); hot names are bound once here because this loop runs
+        docstring): one ``step`` call per access selects the batch to
+        issue.  Hot names are bound once here because this loop runs
         millions of times per experiment.  ``records`` is consumed
         lazily — nothing in this loop materializes the trace.
         """
@@ -184,6 +184,9 @@ class _CoreContext:
         issue_prefetch = self.hierarchy.issue_prefetch
         metrics = self.metrics
         selector = self.selector
+        if selector is not None:
+            select = selector.step
+            post_issue = selector.post_issue
         core_id = self.core_id
         line_shift = self._line_shift
         store = AccessType.STORE
@@ -216,15 +219,7 @@ class _CoreContext:
                 line=line,
                 region=address >> REGION_SHIFT,
             )
-            selector.observe_demand(access)
-            candidates: List[PrefetchCandidate] = []
-            for decision in selector.allocate(access):
-                produced = decision.prefetcher.train(access, decision.degree)
-                if decision.next_level_from is not None:
-                    for candidate in produced[decision.next_level_from:]:
-                        candidate.to_next_level = True
-                candidates.extend(produced)
-            final = selector.filter_prefetches(candidates, access)
+            final = select(access)
             if final:
                 # Deep prefetches land in the L2 to bound L1 pollution:
                 # every candidate past the first L1_FILL_DEPTH per
@@ -238,7 +233,7 @@ class _CoreContext:
                         candidate.to_next_level = True
                     if issue_prefetch(candidate, cycle):
                         metrics.issued += 1
-            selector.post_issue(access, final)
+            post_issue(access, final)
             if selector.needs_reward:
                 selector.performance_sample(
                     core_stats.instructions, core_stats.cycles

@@ -53,6 +53,9 @@ from repro.store.codec import body_digest, decode_record
 
 _log = get_logger("store")
 
+#: Largest request body read, in bytes; far above any store record.
+MAX_BODY_BYTES = 64 << 20
+
 #: A record key digest: BLAKE2b-16 hex, as produced by StoreKey.digest.
 _DIGEST_RE = re.compile(r"^[0-9a-f]{32}$")
 
@@ -296,9 +299,25 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         digest = urlparse.unquote(path[len(prefix):])
         return digest if _DIGEST_RE.match(digest) else None
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or None once a bad ``Content-Length`` has
+        been answered: 400 unless it is a decimal integer, 413 above
+        :data:`MAX_BODY_BYTES`.  The connection then closes, since the
+        unread body would otherwise be parsed as the next request."""
+        header = (self.headers.get("Content-Length") or "0").strip()
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length) if length else b""
+        self.close_connection = True
+        if length < 0:
+            self._error(400, f"invalid Content-Length: {header!r}")
+        else:
+            self._error(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        return None
 
     # -- records -----------------------------------------------------------
 
@@ -343,6 +362,8 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             self._error(404, "not found")
             return
         content = self._read_body()
+        if content is None:
+            return
         record, problem = decode_record(content)
         if problem is not None:
             self._error(400, f"rejected record: {problem}")
@@ -379,8 +400,11 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         if digest is None:
             self._error(404, "not found")
             return
+        content = self._read_body()
+        if content is None:
+            return
         try:
-            body = json.loads(self._read_body() or b"{}")
+            body = json.loads(content or b"{}")
             owner = str(body["owner"])
             ttl = float(body.get("ttl", 60.0))
         except (ValueError, KeyError):

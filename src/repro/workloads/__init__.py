@@ -5,8 +5,8 @@ prefetchers, so each named benchmark is modelled as a deterministic
 mixture of the pattern generators in :mod:`repro.workloads.patterns`
 (stream, stride, delta-sequence, spatial, temporal, pointer-chase,
 random noise), with a memory intensity and footprint chosen to match the
-benchmark's published character.  See DESIGN.md for the substitution
-rationale, and :mod:`repro.workloads.scenarios` for the phase-change /
+benchmark's published character.  See ``docs/workloads.md`` for the
+pattern-family catalog, and :mod:`repro.workloads.scenarios` for the phase-change /
 drift / adversarial scenario suite.
 
 Workloads are a registered subsystem (``docs/workloads.md`` is the

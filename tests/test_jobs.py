@@ -225,6 +225,53 @@ class TestServerLifecycle:
             assert warm["progress"]["cached"] == 1
 
 
+def _post_with_length(url, path, length, body=b""):
+    """POST with a hand-set Content-Length; returns (status, json body)."""
+    import http.client
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        conn.close()
+
+
+class TestContentLength:
+    """A bad Content-Length is answered at once, never read or raised on."""
+
+    @pytest.mark.parametrize(
+        "length, status", [("abc", 400), ("-1", 400), ("1.5", 400), ("+7", 400)]
+    )
+    def test_malformed_length_is_400(self, tmp_path, length, status):
+        with _server(tmp_path / "store", start_workers=False) as (
+            server, client,
+        ):
+            got, document = _post_with_length(client.url, "/jobs", length)
+            assert got == status
+            assert "Content-Length" in document["error"]
+            assert client.healthz()["ok"] is True
+            assert client.list_jobs() == []
+
+    def test_oversized_length_is_413_unread(self, tmp_path):
+        from repro.jobs.server import MAX_BODY_BYTES
+
+        with _server(tmp_path / "store", start_workers=False) as (
+            server, client,
+        ):
+            got, document = _post_with_length(
+                client.url, "/jobs", str(MAX_BODY_BYTES + 1)
+            )
+            assert got == 413
+            assert str(MAX_BODY_BYTES) in document["error"]
+            assert client.list_jobs() == []
+
+
 class TestConcurrencyAndBackpressure:
     def test_concurrent_submissions_deduplicate_to_one_computation(
         self, tmp_path

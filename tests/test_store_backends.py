@@ -302,6 +302,52 @@ class TestHTTPBackend:
         assert store.summary()["backend"]["type"] == "http"
 
 
+def _send_with_length(url, method, path, length):
+    """One request with a hand-set Content-Length and no body."""
+    import http.client
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.putrequest(method, path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        conn.close()
+
+
+class TestContentLength:
+    """A bad Content-Length is answered at once, never read or raised on."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", "+7"])
+    @pytest.mark.parametrize(
+        "method, prefix", [("PUT", "/records/"), ("POST", "/leases/")]
+    )
+    def test_malformed_length_is_400(self, http_server, method, prefix, length):
+        status, document = _send_with_length(
+            http_server, method, prefix + "ab" * 16, length
+        )
+        assert status == 400
+        assert "Content-Length" in document["error"]
+        assert list(open_backend(http_server).list_keys()) == []
+
+    def test_oversized_length_is_413_unread(self, http_server):
+        from repro.store.remote import MAX_BODY_BYTES
+
+        status, document = _send_with_length(
+            http_server, "PUT", "/records/" + "ab" * 16, str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in document["error"]
+        # The daemon still serves a well-formed request afterwards.
+        store = ResultStore(http_server)
+        store.put(_key(), {"ipc": 1.0})
+        assert store.get_value(_key()) == {"ipc": 1.0}
+
+
 class TestTieredBackend:
     def test_read_through_promotes(self, tmp_path, http_server):
         shared = ResultStore(http_server)
