@@ -161,19 +161,24 @@ def _compute_missing_cells(
     sharing a store partition the grid: cells another node holds are
     deferred, then polled — served from the store once the peer's
     record lands, or computed here if its lease expires first.  The
-    trace is generated lazily, once, and only if this node actually
-    computes a cell.
+    trace is fetched lazily, once, and only if this node actually
+    computes a cell; it comes from the per-process trace cache, so a
+    sweep that runs the same suite once per point generates it once.
     """
     import time as _time
 
-    from repro.experiments.runner import _cell_meta, simulation_rows
+    from repro.experiments.runner import (
+        _cached_trace,
+        _cell_meta,
+        simulation_rows,
+    )
 
     trace = None
 
     def compute(spec: Optional[str]) -> None:
         nonlocal trace
         if trace is None:
-            trace = profile.generate(accesses, seed=seed)
+            trace = _cached_trace(profile, accesses, seed)
         selector = (
             make_selector(spec, **selector_kwargs) if spec is not None else None
         )

@@ -14,7 +14,7 @@ from repro.sim import simulate
 from repro.sim.metrics import PrefetchMetrics
 from repro.workloads.spec06 import spec06_memory_intensive
 from repro.workloads.spec17 import spec17_memory_intensive
-from repro.experiments.runner import experiment_main
+from repro.experiments.runner import _cached_trace, experiment_main
 from repro.registry import register_experiment
 
 
@@ -42,7 +42,8 @@ def run(accesses: int = 12000, seed: int = 1) -> Dict[str, Dict[str, float]]:
     for selector_name in SELECTOR_NAMES:
         merged = PrefetchMetrics()
         for profile in profiles.values():
-            trace = profile.generate(accesses, seed=seed)
+            # One trace per benchmark, shared by every selector.
+            trace = _cached_trace(profile, accesses, seed)
             result = simulate(trace, make_selector(selector_name), name=profile.name)
             merged = merged.merge(result.metrics)
         row = merged.normalized()

@@ -370,9 +370,12 @@ def pool_simulation_count() -> int:
 
 #: Per-process cache of generated traces, keyed by
 #: (benchmark, accesses, seed): cells of the same benchmark that land on
-#: the same worker reuse the stream instead of regenerating it.
+#: the same worker, or on the serial path in a later sweep point, reuse
+#: the stream instead of regenerating it.  The limit holds a whole suite
+#: (SPEC06's memory-intensive set is 18 benchmarks), so a sweep that
+#: visits the same suite once per point does not clear it every point.
 _TRACE_CACHE: Dict[Any, Any] = {}
-_TRACE_CACHE_LIMIT = 8
+_TRACE_CACHE_LIMIT = 32
 
 #: Long-lived executors, one per worker count, tagged with the registry
 #: revision they were forked at.  Reusing the pool across SuiteRunner

@@ -638,6 +638,11 @@ class _JobServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        # shutdown() returns once the loop next polls; at the stdlib's
+        # 0.5 s default every stop of the daemon took about that long.
+        super().serve_forever(poll_interval)
+
     def __init__(self, address, manager: JobManager):
         self.manager = manager
         super().__init__(address, _JobRequestHandler)

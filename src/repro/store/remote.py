@@ -420,6 +420,11 @@ class _StoreServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        # shutdown() returns once the loop next polls; at the stdlib's
+        # 0.5 s default every stop of the daemon took about that long.
+        super().serve_forever(poll_interval)
+
     def __init__(self, address, backend):
         self.backend = backend
         self.leases = _LeaseTable()

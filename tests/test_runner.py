@@ -142,6 +142,38 @@ class TestSuiteRunnerCells:
         serial = speedup_suite(second, ["ipcp"], jobs=1, **kwargs)
         assert parallel == serial
 
+    def test_serial_sweep_generates_each_trace_once(self, monkeypatch):
+        """A sweep that runs one suite per point (Figs. 15 and 16) reuses
+        each benchmark's trace on the serial path."""
+        from repro.common.config import SystemConfig
+        from repro.experiments import runner
+        from repro.workloads.profiles import BenchmarkProfile
+
+        generated = []
+        real = BenchmarkProfile.generate
+
+        def counting(self, *args, **kwargs):
+            generated.append(self.name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(BenchmarkProfile, "generate", counting)
+        monkeypatch.setattr(runner, "_TRACE_CACHE", {})
+        profiles = tiny_profiles()
+        rows = [
+            speedup_suite(
+                profiles, ["ipcp"], accesses=300, seed=1,
+                config=SystemConfig().with_llc_size(size),
+            )
+            for size in (1 << 20, 2 << 20)
+        ]
+        assert sorted(generated) == sorted(profiles)
+        # The second point's rows, from reused traces, match fresh ones.
+        monkeypatch.setattr(runner, "_TRACE_CACHE", {})
+        assert rows[1] == speedup_suite(
+            profiles, ["ipcp"], accesses=300, seed=1,
+            config=SystemConfig().with_llc_size(2 << 20),
+        )
+
     def test_pool_sees_components_registered_after_warmup(self):
         """A composite registered after a pool was forked must still be
         buildable by the workers (the pool refreshes on registration)."""
