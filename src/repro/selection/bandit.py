@@ -135,11 +135,25 @@ class BanditSelection(SelectionAlgorithm):
 
     # -- selection protocol -------------------------------------------------------
 
-    def allocate(self, access: DemandAccess) -> List[AllocationDecision]:
+    def _count_access(self) -> None:
+        """One demand access of the epoch; the last one asks for a reward."""
         self._accesses_in_epoch += 1
         if self._accesses_in_epoch >= self.epoch_accesses:
             self._accesses_in_epoch = 0
             self._pending_reward = True
+
+    def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
+        """The composed protocol without its allocation objects: every
+        prefetcher trains at its degree in the current arm, and the
+        batch is filtered as :meth:`filter_prefetches` does."""
+        self._count_access()
+        candidates: List[PrefetchCandidate] = []
+        for prefetcher, degree in zip(self.prefetchers, self._current_arm):
+            candidates.extend(prefetcher.train(access, degree))
+        return self.filter_prefetches(candidates, access)
+
+    def allocate(self, access: DemandAccess) -> List[AllocationDecision]:
+        self._count_access()
         return [
             AllocationDecision(prefetcher=p, degree=arm_degree)
             for p, arm_degree in zip(self.prefetchers, self._current_arm)

@@ -14,9 +14,10 @@ mirroring the paper's Fig. 4 data flow:
 
 The simulator makes one call for steps 1-4: ``step(access)`` returns the
 batch to issue.  Its base implementation composes the four hooks in
-order, so a selector only implements the hooks; one on the hot path
-(Alecto) overrides ``step`` with a single pass that applies the same
-rules, and must return the same batch and leave the same state.  The
+order, so a selector only implements the hooks; those on the hot path
+override ``step`` with a single pass that applies the same rules (Alecto
+probes each table once; IPCP, DOL and Bandit skip the allocation
+objects), and must return the same batch and leave the same state.  The
 simulator then issues the batch and calls ``post_issue``.
 
 Asynchronous events arrive via ``observe_prefetch_used`` /

@@ -10,7 +10,7 @@ P3 still trains (pollutes) the tables of P1 and P2 on its way through.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.common.types import DemandAccess, PrefetchCandidate
 from repro.prefetchers.base import Prefetcher
@@ -34,17 +34,29 @@ class DOLSelection(SelectionAlgorithm):
         self.degree = degree
         self._filter = RecentRequestFilter()
 
-    def allocate(self, access: DemandAccess) -> List[AllocationDecision]:
-        decisions: List[AllocationDecision] = []
+    def _walk(self, access: DemandAccess) -> Iterator[Prefetcher]:
+        """The prefetchers that receive ``access``, in walk order."""
         for prefetcher in self.prefetchers:
-            decisions.append(
-                AllocationDecision(prefetcher=prefetcher, degree=self.degree)
-            )
-            if prefetcher.would_handle(access):
+            claimed = prefetcher.would_handle(access)
+            yield prefetcher
+            if claimed:
                 # This prefetcher claims the request; the walk stops and
                 # later prefetchers never see it.
-                break
-        return decisions
+                return
+
+    def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
+        """The composed protocol without its allocation objects."""
+        degree = self.degree
+        candidates: List[PrefetchCandidate] = []
+        for prefetcher in self._walk(access):
+            candidates.extend(prefetcher.train(access, degree))
+        return self.filter_prefetches(candidates, access)
+
+    def allocate(self, access: DemandAccess) -> List[AllocationDecision]:
+        return [
+            AllocationDecision(prefetcher=prefetcher, degree=self.degree)
+            for prefetcher in self._walk(access)
+        ]
 
     def filter_prefetches(
         self, candidates: List[PrefetchCandidate], access: DemandAccess

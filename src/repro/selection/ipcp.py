@@ -33,6 +33,15 @@ class IPCPSelection(SelectionAlgorithm):
         self._filter = RecentRequestFilter()
         self._priority = [p.name for p in self.prefetchers]
 
+    def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
+        """The composed protocol without its allocation objects: every
+        prefetcher trains at the one degree, then the output MUX picks."""
+        degree = self.degree
+        candidates: List[PrefetchCandidate] = []
+        for prefetcher in self.prefetchers:
+            candidates.extend(prefetcher.train(access, degree))
+        return self.filter_prefetches(candidates, access)
+
     def allocate(self, access: DemandAccess) -> List[AllocationDecision]:
         return [
             AllocationDecision(prefetcher=p, degree=self.degree)

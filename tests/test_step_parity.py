@@ -5,6 +5,9 @@ probes each Alecto table once; ``SelectionAlgorithm.step`` composes the
 public hooks (observe_demand → allocate → train → filter_prefetches).
 Twin selectors, one driven each way over the same trace, must return the
 same candidates and end every access in the same table state.
+The IPCP, DOL and Bandit ``step`` overrides skip the allocation objects;
+their twins must also agree on the prefetch filter and, for Bandit, on
+arms and rewards.
 
 ``SetAssociativeTable.get_or_insert`` hashes once where ``lookup`` plus
 ``insert`` hash twice; twin tables driven each way must agree on every
@@ -168,6 +171,80 @@ def test_fused_step_matches_on_a_profile_trace(config):
     assert fused.epochs_completed > 0
     assert fused.sandbox_table.duplicates_filtered > 0
     assert fused.deadlock_resets > 0
+
+
+# -- IPCP, DOL and Bandit: fused steps ≡ the composed hooks -----------------
+
+#: (selector spec, build_selector keyword arguments) per configuration of
+#: the selectors whose step() skips the allocation objects.
+TRAIN_ALL_CONFIGS = {
+    "ipcp": ("ipcp", {}),
+    "dol": ("dol", {}),
+    "dol_berti_cplx": ("dol", {"composite": "gs_berti_cplx"}),
+    "bandit3": ("bandit3", {}),
+    "bandit6": ("bandit6", {}),
+    "bandit_ext": ("bandit_ext", {}),
+    "bandit_temporal": (
+        "bandit6", {"with_temporal": True, "temporal_bytes": 4096}
+    ),
+}
+
+
+def _train_all_state(selector):
+    state = {
+        "filter": _table_state(selector._filter._table),
+        "dropped": selector._filter.dropped,
+        "prefetcher_tables": [
+            (p.name, p.table_stats, p.training_occurrences)
+            for p in selector.prefetchers
+        ],
+    }
+    if hasattr(selector, "arms"):
+        state.update(
+            arm=selector._current_arm,
+            values=dict(selector._arm_value),
+            pulls=dict(selector._arm_pulls),
+            epsilon=selector.epsilon,
+            accesses_in_epoch=selector._accesses_in_epoch,
+            pending_reward=selector._pending_reward,
+        )
+    return state
+
+
+def _drive_train_all(config, accesses):
+    """Run twins access by access, rewarding bandits identically."""
+    spec, kwargs = TRAIN_ALL_CONFIGS[config]
+    fused, composed = build_selector(spec, **kwargs), build_selector(spec, **kwargs)
+    if hasattr(fused, "arms"):
+        # Short epochs, so arms change within a short trace.
+        fused.epoch_accesses = composed.epoch_accesses = 16
+    for index, access in enumerate(accesses):
+        fast = fused.step(access)
+        slow = SelectionAlgorithm.step(composed, access)
+        assert _candidates(fast) == _candidates(slow)
+        for twin, batch in ((fused, fast), (composed, slow)):
+            twin.post_issue(access, batch)
+            if twin.needs_reward:
+                twin.performance_sample(3 * index + index % 7, 2.0 * index + 1)
+        assert _train_all_state(fused) == _train_all_state(composed)
+    return fused
+
+
+@pytest.mark.parametrize("config", sorted(TRAIN_ALL_CONFIGS))
+@settings(max_examples=25, deadline=None)
+@given(accesses=traces())
+def test_train_all_step_matches_composed_hooks(config, accesses):
+    _drive_train_all(config, accesses)
+
+
+@pytest.mark.parametrize("config", sorted(TRAIN_ALL_CONFIGS))
+def test_train_all_step_matches_on_a_profile_trace(config):
+    records = get_profile("gcc").generate(800, seed=2)
+    fused = _drive_train_all(
+        config,
+        [_access(i, r.pc, r.address >> 6) for i, r in enumerate(records)],
+    )
+    assert fused._filter.dropped > 0
 
 
 # -- get_or_insert ≡ lookup + insert ----------------------------------------
