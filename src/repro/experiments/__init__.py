@@ -18,6 +18,7 @@ import importlib
 
 from repro.experiments.common import (
     SELECTOR_NAMES,
+    benchmark_cells,
     cell_rows,
     geomean,
     make_selector,
@@ -63,6 +64,7 @@ def load_all() -> None:
 __all__ = [
     "EXPERIMENT_MODULES",
     "SELECTOR_NAMES",
+    "benchmark_cells",
     "cell_rows",
     "geomean",
     "load_all",

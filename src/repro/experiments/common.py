@@ -86,8 +86,8 @@ def cell_store_key(
     """The result-store key of one (benchmark × selector × config) cell.
 
     One shared derivation for every call site — the serial suite, the
-    process-pool fan-out, and :func:`cell_rows` — so a cell computed by
-    any of them is a cache hit for all of them.
+    process-pool fan-out, and :func:`benchmark_cells` — so a cell
+    computed by any of them is a cache hit for all of them.
     """
     from repro.store.keys import cell_key, trace_identity
 
@@ -99,6 +99,60 @@ def cell_store_key(
         config=config,
         context=selector_kwargs,
     )
+
+
+def benchmark_cells(
+    profile: BenchmarkProfile,
+    specs: Sequence[Optional[str]],
+    accesses: int,
+    seed: int = 1,
+    config: Optional[SystemConfig] = None,
+    **selector_kwargs,
+) -> Dict[Optional[str], Dict]:
+    """Summary rows of several cells on one benchmark, ``{spec: rows}``.
+
+    Each cell is read through the active result store, in ``specs``
+    order; the first miss generates the trace, which every missing
+    spec then simulates before its record is put.  The store sees the
+    same operations, in the same order and with the same record meta,
+    as one :func:`cell_rows` call per spec, but the benchmark's trace
+    is generated at most once.  The trace is not cached: it is dropped
+    on return.  Without an active store every spec simply simulates.
+    """
+    from repro.experiments.runner import _cell_meta, simulation_rows
+    from repro.store.resultstore import active_store
+
+    store = active_store()
+    trace = None
+    rows: Dict[Optional[str], Dict] = {}
+    for index, spec in enumerate(specs, 1):
+        key = None
+        if store is not None:
+            key = cell_store_key(
+                profile, spec, accesses, seed, config, selector_kwargs
+            )
+            value = store.get_value(key)
+            if value is not None:
+                rows[spec] = value
+                continue
+        if trace is None:
+            trace = profile.generate(accesses, seed=seed)
+        # No local holds the selector, so its tables are freed as soon
+        # as the simulation returns, before the next spec's are built.
+        result = simulate(
+            trace,
+            make_selector(spec, **selector_kwargs) if spec is not None else None,
+            config=config,
+            name=profile.name,
+        )
+        if index == len(specs):
+            # Free the trace before the summary and the store write, as
+            # a lone cell_rows call always did: it keeps peak RSS level.
+            trace = None
+        rows[spec] = simulation_rows(result)
+        if store is not None:
+            store.put(key, rows[spec], meta=_cell_meta(profile.name, spec))
+    return rows
 
 
 def cell_rows(
@@ -116,30 +170,11 @@ def cell_rows(
     simulation): experiments that only consume scalar outputs — IPC,
     ``table_misses``, accuracy/coverage — can call this instead and
     become incremental for free.  Without an active store it simply
-    simulates.
+    simulates.  The one-spec case of :func:`benchmark_cells`.
     """
-    from repro.experiments.runner import simulation_rows
-    from repro.store.resultstore import active_store
-
-    store = active_store()
-    key = None
-    if store is not None:
-        key = cell_store_key(
-            profile, selector_name, accesses, seed, config, selector_kwargs
-        )
-        value = store.get_value(key)
-        if value is not None:
-            return value
-    rows = simulation_rows(
-        run_benchmark(
-            profile, selector_name, accesses, seed, config, **selector_kwargs
-        )
-    )
-    if store is not None:
-        from repro.experiments.runner import _cell_meta
-
-        store.put(key, rows, meta=_cell_meta(profile.name, selector_name))
-    return rows
+    return benchmark_cells(
+        profile, (selector_name,), accesses, seed, config, **selector_kwargs
+    )[selector_name]
 
 
 def _compute_missing_cells(

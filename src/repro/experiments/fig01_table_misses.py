@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.common import cell_rows
+from repro.experiments.common import benchmark_cells
 from repro.workloads.spec06 import SPEC06_PROFILES
 from repro.workloads.spec17 import SPEC17_PROFILES
 from repro.experiments.runner import experiment_main
@@ -40,11 +40,13 @@ def run(accesses: int = 10000, seed: int = 1) -> Dict[str, Dict[str, float]]:
         without = 0
         with_ddra = 0
         for profile in profiles.values():
-            # cell_rows reads each (benchmark, selector) cell through the
-            # active result store, so regeneration after a fingerprint
-            # bump re-simulates only the bumped selector's cells.
-            without += cell_rows(profile, "ipcp", accesses, seed)["table_misses"]
-            with_ddra += cell_rows(profile, "alecto", accesses, seed)["table_misses"]
+            # benchmark_cells reads each (benchmark, selector) cell through
+            # the active result store, so regeneration after a fingerprint
+            # bump re-simulates only the bumped selector's cells; both
+            # selectors share one generated trace.
+            cells = benchmark_cells(profile, ("ipcp", "alecto"), accesses, seed)
+            without += cells["ipcp"]["table_misses"]
+            with_ddra += cells["alecto"]["table_misses"]
         rows[suite_name] = {
             "without_ddra": without / 1000.0,
             "with_ddra": with_ddra / 1000.0,

@@ -12,7 +12,7 @@ ordering inverts, an adaptive selector loses to the static best (see
    one or two parameters of the current point, occasionally a fresh
    uniform sample of the whole space (escape hatch from local optima);
 3. the candidate is scored by running its (selector × workload) cells
-   through :func:`repro.experiments.common.cell_rows` — store-backed,
+   through :func:`repro.experiments.common.benchmark_cells` — store-backed,
    so re-probing a point is a cache hit — and the walk moves when the
    score improves (plus a small deterministic acceptance slack);
 4. every candidate whose objective **fires** is recorded, then
@@ -137,10 +137,11 @@ class FuzzReport:
 class _Evaluator:
     """Runs (selector × workload) cells for one objective, memoized.
 
-    Cells go through :func:`repro.experiments.common.cell_rows`, so an
-    active result store makes every repeated probe — within this run or
-    across runs — a cache hit; the in-run memo additionally avoids
-    re-assessing a point the walk revisits when no store is active.
+    Cells go through :func:`repro.experiments.common.benchmark_cells`,
+    so a probe generates its trace at most once, and an active result
+    store makes every repeated probe — within this run or across runs —
+    a cache hit; the in-run memo additionally avoids re-assessing a
+    point the walk revisits when no store is active.
     """
 
     def __init__(
@@ -160,19 +161,16 @@ class _Evaluator:
     def outcome(self, workload_spec: str):
         if workload_spec in self._memo:
             return self._memo[workload_spec]
-        from repro.experiments.common import cell_rows
+        from repro.experiments.common import benchmark_cells
         from repro.registry import build_workload
 
-        profile = build_workload(workload_spec)
-        rows: Dict[Optional[str], Dict[str, Any]] = {}
-        for spec in self.objective.selectors:
-            rows[spec] = cell_rows(
-                profile,
-                spec,
-                self.accesses,
-                seed=self.trace_seed,
-                config=self.config,
-            )
+        rows = benchmark_cells(
+            build_workload(workload_spec),
+            self.objective.selectors,
+            self.accesses,
+            seed=self.trace_seed,
+            config=self.config,
+        )
         outcome = self.objective.assess(rows)
         self.probes += 1
         self._memo[workload_spec] = outcome

@@ -20,6 +20,47 @@ LINE = 64
 REGION = 4096
 
 
+# Pattern set-up draws hundreds of thousands of random numbers (a
+# pointer chase shuffles every node), so the two helpers below inline
+# the stdlib's ``_randbelow`` rejection loop: ``getrandbits(k)`` with
+# ``k = n.bit_length()``, redrawn while ``>= n``.  They consume the RNG
+# exactly as ``random.Random.shuffle`` and ``randrange`` do, so traces
+# stay byte-identical; ``tests/test_patterns.py`` pins the parity.
+
+
+def _shuffle(rng: random.Random, items: list) -> None:
+    """Shuffle ``items`` in place, exactly as ``rng.shuffle(items)``."""
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        # Swap position i draws below n = i + 1; every n in
+        # [low, 2 * low) has the same bit length k.
+        k = (top + 1).bit_length()
+        low = 1 << (k - 1)
+        for i in range(top, low - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        top = low - 2
+
+
+def _draws(rng: random.Random, n: int, count: int) -> List[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, drawn identically."""
+    if n <= 0:
+        raise ValueError("empty range for randrange()")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(r)
+    return out
+
+
 class Pattern(abc.ABC):
     """An infinite per-PC access stream.
 
@@ -60,6 +101,8 @@ class StreamPattern(Pattern):
         super().__init__(pc, rng)
         if element_bytes <= 0 or element_bytes > LINE:
             raise ValueError("element_bytes must be in (0, 64]")
+        if footprint < LINE:
+            raise ValueError(f"footprint must be >= {LINE}")
         self.footprint = footprint
         self.run_length = run_length
         self.direction = direction
@@ -148,6 +191,8 @@ class DeltaSequencePattern(Pattern):
         super().__init__(pc, rng)
         if not deltas:
             raise ValueError("deltas must be non-empty")
+        if footprint < LINE:
+            raise ValueError(f"footprint must be >= {LINE}")
         self.deltas = deltas
         self.footprint = footprint
         self.base = base
@@ -241,13 +286,15 @@ class TemporalPattern(Pattern):
             raise ValueError("sequence_length must be positive")
         if dwell < 1:
             raise ValueError("dwell must be >= 1")
+        if footprint < LINE:
+            raise ValueError(f"footprint must be >= {LINE}")
         lines = footprint // LINE
         self.base = base
         self.noise = noise
         self.footprint = footprint
         self.dwell = dwell
         self._sequence: List[int] = [
-            rng.randrange(lines) * LINE for _ in range(sequence_length)
+            r * LINE for r in _draws(rng, lines, sequence_length)
         ]
         self._index = rng.randrange(sequence_length)
         self._dwell_index = 0
@@ -283,18 +330,18 @@ class PointerChasePattern(Pattern):
         super().__init__(pc, rng)
         if nodes < 2:
             raise ValueError("need at least two nodes")
-        order = list(range(nodes))
-        rng.shuffle(order)
-        self._next = [0] * nodes
-        for i in range(nodes):
-            self._next[order[i]] = order[(i + 1) % nodes]
+        # The walk visits the cycle order[0] -> order[1] -> ... -> order[0].
+        self._order = list(range(nodes))
+        _shuffle(rng, self._order)
         self.base = base
         self.node_bytes = node_bytes
-        self._current = order[0]
+        self._index = 0
 
     def next_address(self) -> Tuple[int, bool]:
-        address = self.base + self._current * self.node_bytes
-        self._current = self._next[self._current]
+        address = self.base + self._order[self._index] * self.node_bytes
+        self._index += 1
+        if self._index == len(self._order):
+            self._index = 0
         return address, True
 
 
@@ -314,6 +361,8 @@ class RandomPattern(Pattern):
         pc_count: int = 1,
     ):
         super().__init__(pc, rng)
+        if footprint < LINE:
+            raise ValueError(f"footprint must be >= {LINE}")
         self.footprint = footprint
         self.base = base
         self.pc_count = max(1, pc_count)
@@ -410,6 +459,8 @@ class DriftingStridePattern(Pattern):
             raise ValueError("drift_period must be positive")
         if not (0 < min_stride <= stride <= max_stride):
             raise ValueError("need 0 < min_stride <= stride <= max_stride")
+        if footprint < LINE:
+            raise ValueError(f"footprint must be >= {LINE}")
         self.stride = stride
         self.drift = drift
         self.drift_period = drift_period
@@ -464,6 +515,8 @@ class HashJoinPattern(Pattern):
             raise ValueError("matches must be >= 1")
         if row_bytes <= 0:
             raise ValueError("row_bytes must be positive")
+        if probe_footprint < LINE:
+            raise ValueError(f"probe_footprint must be >= {LINE}")
         self.probe_footprint = probe_footprint
         self.buckets = buckets
         self.row_bytes = row_bytes

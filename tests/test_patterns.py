@@ -1,6 +1,7 @@
 """Tests for the workload pattern generators."""
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from repro.workloads.patterns import (
     LINE,
     REGION,
     DeltaSequencePattern,
+    DriftingStridePattern,
+    HashJoinPattern,
     PATTERN_KINDS,
     PointerChasePattern,
     RandomPattern,
@@ -17,6 +20,8 @@ from repro.workloads.patterns import (
     StreamPattern,
     StridePattern,
     TemporalPattern,
+    _draws,
+    _shuffle,
     make_pattern,
 )
 
@@ -171,6 +176,25 @@ class TestPointerChase:
         with pytest.raises(ValueError):
             PointerChasePattern(0x400, random.Random(1), nodes=1)
 
+    @pytest.mark.parametrize("nodes", [2, 3, 16, 1000])
+    def test_walk_matches_successor_array_reference(self, nodes):
+        # The pattern walks its shuffled order by index; the reference
+        # builds the successor array the walk encodes and follows it.
+        rng = random.Random(7)
+        order = list(range(nodes))
+        rng.shuffle(order)
+        successor = [0] * nodes
+        for i in range(nodes):
+            successor[order[i]] = order[(i + 1) % nodes]
+        node, reference = order[0], []
+        for _ in range(2 * nodes):
+            reference.append(0x1000 + node * 64)
+            node = successor[node]
+        pattern = PointerChasePattern(
+            0x400, random.Random(7), nodes=nodes, base=0x1000
+        )
+        assert addresses(pattern, 2 * nodes) == reference
+
 
 class TestRandom:
     def test_addresses_line_aligned(self):
@@ -185,6 +209,83 @@ class TestRandom:
             pcs.add(pattern.pc)
         assert all(0x400000 <= pc < 0x400000 + 16 * 4 for pc in pcs)
         assert len(pcs) > 4
+
+
+#: Every pattern kind that draws a start line from ``footprint // LINE``,
+#: with the parameter that names that footprint.
+_LINE_FOOTPRINTS = [
+    (StreamPattern, "footprint"),
+    (DeltaSequencePattern, "footprint"),
+    (TemporalPattern, "footprint"),
+    (RandomPattern, "footprint"),
+    (DriftingStridePattern, "footprint"),
+    (HashJoinPattern, "probe_footprint"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, param", _LINE_FOOTPRINTS, ids=[c.__name__ for c, _ in _LINE_FOOTPRINTS]
+)
+def test_footprint_below_one_line_rejected_at_construction(cls, param):
+    for footprint in (0, LINE - 1):
+        with pytest.raises(ValueError, match=f"^{param} must be >= {LINE}"):
+            cls(0x400, random.Random(1), **{param: footprint})
+    pattern = cls(0x400, random.Random(1), **{param: LINE})
+    assert pattern.next_address()[0] >= 0
+
+
+#: Sizes around every bit-length boundary the rejection loop switches
+#: at, up to the largest pointer chase (2**17 nodes) plus one.
+_RNG_SIZES = sorted(
+    {1, 2, 3}
+    | {(1 << k) + d for k in range(2, 18) for d in (-1, 0, 1)}
+)
+
+
+class TestRngParity:
+    """The inlined set-up helpers consume the RNG exactly as the stdlib."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(_RNG_SIZES))
+    def test_shuffle_matches_stdlib(self, seed, n):
+        expected, ours = list(range(n)), list(range(n))
+        reference, rng = random.Random(seed), random.Random(seed)
+        reference.shuffle(expected)
+        _shuffle(rng, ours)
+        assert ours == expected
+        assert rng.getstate() == reference.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(_RNG_SIZES),
+        count=st.integers(0, 64),
+    )
+    def test_draws_match_randrange(self, seed, n, count):
+        reference, rng = random.Random(seed), random.Random(seed)
+        expected = [reference.randrange(n) for _ in range(count)]
+        assert _draws(rng, n, count) == expected
+        assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -64])
+    def test_draws_reject_empty_range_promptly(self, n):
+        # getrandbits(0) returns 0, so an unchecked loop never ends on
+        # n == 0; run in a daemon thread so a hang fails instead.
+        outcome = []
+
+        def draw():
+            try:
+                _draws(random.Random(1), n, 3)
+            except ValueError as exc:
+                outcome.append(exc)
+
+        worker = threading.Thread(target=draw, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "_draws did not return"
+        assert len(outcome) == 1
+        with pytest.raises(ValueError):
+            random.Random(1).randrange(n)
 
 
 class TestRegistry:
