@@ -182,10 +182,12 @@ class SetAssociativeTable(Generic[V]):
         self._count += 1
         return evicted
 
-    def get_or_insert(self, key: int, factory: Callable[[], V]) -> V:
-        """Lookup ``key``; on miss insert ``factory()`` and return it.
+    def get_or_insert(self, key: int, factory: Callable[..., V], *args) -> V:
+        """Lookup ``key``; on miss insert ``factory(*args)`` and return it.
 
-        One hash for both halves; statistics, recency order, random-victim
+        Passing the arguments, rather than a closure over them, keeps the
+        common hit path free of a per-call function object.  One hash for
+        both halves; statistics, recency order, random-victim
         draws and evictions are exactly those of ``lookup`` followed (on a
         miss) by ``insert``.  A stored None counts as a hit and is then
         overwritten, as that pair would do.
@@ -207,10 +209,10 @@ class SetAssociativeTable(Generic[V]):
                     entries[key] = value
                 if value is not None:
                     return value
-                value = entries[key] = factory()
+                value = entries[key] = factory(*args)
                 return value
         stats.misses += 1
-        value = factory()
+        value = factory(*args)
         self._admit(entries, key, value)
         return value
 

@@ -8,6 +8,7 @@ the configuration in Table I of the paper.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 CACHE_LINE_BYTES = 64
@@ -37,13 +38,22 @@ class AccessType(enum.Enum):
     STORE = "store"
 
 
-@dataclass(frozen=True, slots=True)
-class DemandAccess:
+class DemandAccess(
+    namedtuple(
+        "DemandAccess",
+        ("pc", "address", "access_type", "core_id", "timestamp", "line", "region"),
+    )
+):
     """A demand request as seen by the L1 data cache.
 
     This is the unit of work routed through selection algorithms: the paper's
     step 1 sends the (PC, address) pair to the Allocation Table and Sandbox
     Table simultaneously.
+
+    Immutable and tuple-backed, because the simulator builds one per
+    access: ``tuple.__new__(DemandAccess, (pc, address, access_type,
+    core_id, timestamp, line, region))`` builds it without argument
+    parsing when every field is known.
 
     Attributes:
         pc: address of the memory access instruction.
@@ -57,30 +67,25 @@ class DemandAccess:
         region: 4 KB spatial-region address, precomputed.
     """
 
-    pc: int
-    address: int
-    access_type: AccessType = AccessType.LOAD
-    core_id: int = 0
-    timestamp: int = 0
-    line: int = -1
-    region: int = -1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        address = self.address
-        if self.line < 0:
-            object.__setattr__(self, "line", address >> CACHE_LINE_SHIFT)
-        if self.region < 0:
-            object.__setattr__(self, "region", address >> REGION_SHIFT)
-
-    # Explicit state methods: frozen+slots dataclasses do not pickle on
-    # every supported Python without them.
-    def __getstate__(self):
-        return (self.pc, self.address, self.access_type, self.core_id,
-                self.timestamp, self.line, self.region)
-
-    def __setstate__(self, state) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+    def __new__(
+        cls,
+        pc: int,
+        address: int,
+        access_type: AccessType = AccessType.LOAD,
+        core_id: int = 0,
+        timestamp: int = 0,
+        line: int = -1,
+        region: int = -1,
+    ) -> "DemandAccess":
+        if line < 0:
+            line = address >> CACHE_LINE_SHIFT
+        if region < 0:
+            region = address >> REGION_SHIFT
+        return tuple.__new__(
+            cls, (pc, address, access_type, core_id, timestamp, line, region)
+        )
 
 
 @dataclass(slots=True)

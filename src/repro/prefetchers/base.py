@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.tables import SetAssociativeTable, TableStats
 from repro.common.types import DemandAccess, PrefetchCandidate
@@ -47,28 +47,16 @@ class Prefetcher(abc.ABC):
     def train(self, access: DemandAccess, degree: int) -> List[PrefetchCandidate]:
         """Train on a demand request and emit prefetch candidates.
 
+        The one-prefetcher form of :func:`train_grants`; selectors train
+        their whole allocation in one call to that function instead.
+
         Args:
             access: the allocated demand request.
             degree: maximum number of prefetches to emit; a degree of zero
                 still trains the tables (Bandit's "off" arms suppress
                 output, not training).
         """
-        self.training_occurrences += 1
-        max_degree = self.max_degree
-        if max_degree is not None and degree > max_degree:
-            degree = max_degree
-        lines = self._train(access, degree)
-        if not lines or degree <= 0:
-            return []
-        confidence = self.prediction_confidence()
-        name = self.name
-        pc = access.pc
-        to_next_level = self.fills_next_level
-        core_id = access.core_id
-        return [
-            PrefetchCandidate(line, name, pc, to_next_level, confidence, core_id)
-            for line in lines[:degree]
-        ]
+        return train_grants(access, ((self, degree, None),))
 
     def would_handle(self, access: DemandAccess) -> bool:
         """Non-destructive pattern-match probe used by DOL's coordinator.
@@ -100,3 +88,52 @@ class Prefetcher(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+#: One prefetcher's share of a demand request: ``(prefetcher, degree,
+#: next_level_from)``.  Candidates at position >= ``next_level_from`` fill
+#: the next cache level; None leaves them at the prefetcher's own level.
+Grant = Tuple[Prefetcher, int, Optional[int]]
+
+
+def train_grants(
+    access: DemandAccess, grants: Iterable[Grant]
+) -> List[PrefetchCandidate]:
+    """Train every granted prefetcher on ``access``, in order; return the
+    candidates they emit.
+
+    This is the single copy of the training rule.  Each prefetcher counts
+    one training occurrence and trains at its degree clamped to
+    ``max_degree``; a degree of zero trains but emits nothing.  Its
+    ``prediction_confidence`` is read only when lines came back, and its
+    first ``degree`` lines become candidates, marked for the next level
+    when the prefetcher ``fills_next_level`` or their position is at or
+    past ``next_level_from``.
+    """
+    candidates: List[PrefetchCandidate] = []
+    append = candidates.append
+    pc = access.pc
+    core_id = access.core_id
+    for prefetcher, degree, next_level_from in grants:
+        prefetcher.training_occurrences += 1
+        max_degree = prefetcher.max_degree
+        if max_degree is not None and degree > max_degree:
+            degree = max_degree
+        lines = prefetcher._train(access, degree)
+        if not lines or degree <= 0:
+            continue
+        confidence = prefetcher.prediction_confidence()
+        name = prefetcher.name
+        to_next_level = prefetcher.fills_next_level
+        if next_level_from is None or to_next_level:
+            for line in lines[:degree]:
+                append(PrefetchCandidate(
+                    line, name, pc, to_next_level, confidence, core_id
+                ))
+        else:
+            for position, line in enumerate(lines[:degree]):
+                append(PrefetchCandidate(
+                    line, name, pc, position >= next_level_from, confidence,
+                    core_id,
+                ))
+    return candidates

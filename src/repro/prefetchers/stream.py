@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.common.counters import SaturatingCounter
 from repro.common.tables import SetAssociativeTable
 from repro.common.types import DemandAccess
 from repro.prefetchers.base import Prefetcher
@@ -31,7 +30,11 @@ _DENSE_THRESHOLD = 12
 _MATURE_THRESHOLD = 6
 
 
-@dataclass
+#: Saturation point of the 2-bit IP confidence counter.
+_MAX_CONFIDENCE = 3
+
+
+@dataclass(slots=True)
 class _RegionEntry:
     last_line: int
     touched_bitmap: int = 0
@@ -39,17 +42,15 @@ class _RegionEntry:
 
     @property
     def distinct_lines(self) -> int:
-        return bin(self.touched_bitmap).count("1")
+        return self.touched_bitmap.bit_count()
 
 
-@dataclass
+@dataclass(slots=True)
 class _IPEntry:
-    confidence: SaturatingCounter
+    #: 2-bit saturating confidence in [0, _MAX_CONFIDENCE], kept as a
+    #: plain int: it is updated on every training call.
+    confidence: int = 0
     direction: int = 1
-
-    @classmethod
-    def fresh(cls) -> "_IPEntry":
-        return cls(confidence=SaturatingCounter(0, 0, 3))
 
 
 @register_prefetcher("stream")
@@ -82,7 +83,7 @@ class StreamPrefetcher(Prefetcher):
         blames for DOL misrouting spatial PCs.
         """
         ip_entry = self._ip_table.peek(access.pc)
-        if ip_entry is not None and ip_entry.confidence.value >= 2:
+        if ip_entry is not None and ip_entry.confidence >= 2:
             return True
         region_entry = self._rst.peek(access.line >> _REGION_LINE_SHIFT)
         return region_entry is not None and region_entry.distinct_lines >= 4
@@ -93,26 +94,27 @@ class StreamPrefetcher(Prefetcher):
 
         # A fresh region starts at this line, so the update below only
         # sets its bit.
-        region_entry = self._rst.get_or_insert(
-            region, lambda: _RegionEntry(last_line=line)
-        )
+        region_entry = self._rst.get_or_insert(region, _RegionEntry, line)
         region_entry.touched_bitmap |= 1 << (line % _REGION_LINES)
         if line != region_entry.last_line:
             region_entry.direction = 1 if line > region_entry.last_line else -1
             region_entry.last_line = line
 
-        ip_entry = self._ip_table.get_or_insert(access.pc, _IPEntry.fresh)
+        ip_entry = self._ip_table.get_or_insert(access.pc, _IPEntry)
 
-        distinct = region_entry.distinct_lines
+        distinct = region_entry.touched_bitmap.bit_count()
+        confidence = ip_entry.confidence
         if distinct >= _DENSE_THRESHOLD:
-            ip_entry.confidence.increment()
+            if confidence < _MAX_CONFIDENCE:
+                ip_entry.confidence = confidence = confidence + 1
             ip_entry.direction = region_entry.direction
         elif distinct >= _MATURE_THRESHOLD:
             # Mature region with a sparse footprint: not a stream.
-            ip_entry.confidence.decrement()
+            if confidence > 0:
+                ip_entry.confidence = confidence = confidence - 1
 
-        self._last_confidence = ip_entry.confidence.value / 3.0
-        if ip_entry.confidence.value < 2 or degree <= 0:
+        self._last_confidence = confidence / 3.0
+        if confidence < 2 or degree <= 0:
             return []
         step = ip_entry.direction
-        return [line + step * (i + 1) for i in range(degree)]
+        return list(range(line + step, line + step * (degree + 1), step))

@@ -10,24 +10,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.common.counters import SaturatingCounter
 from repro.common.tables import SetAssociativeTable
 from repro.common.types import DemandAccess
 from repro.prefetchers.base import Prefetcher
 from repro.registry import register_prefetcher
 
 _ISSUE_CONFIDENCE = 2
+#: Saturation point of the 2-bit confidence counter.
+_MAX_CONFIDENCE = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class _StrideEntry:
     last_line: int
     stride: int = 0
-    confidence: SaturatingCounter = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.confidence is None:
-            self.confidence = SaturatingCounter(0, 0, 3)
+    #: 2-bit saturating confidence in [0, _MAX_CONFIDENCE], kept as a
+    #: plain int: it is updated on every training call.
+    confidence: int = 0
 
 
 @register_prefetcher("stride")
@@ -54,34 +53,33 @@ class StridePrefetcher(Prefetcher):
         return (
             entry is not None
             and entry.stride != 0
-            and entry.confidence.value >= _ISSUE_CONFIDENCE
+            and entry.confidence >= _ISSUE_CONFIDENCE
         )
 
     def _train(self, access: DemandAccess, degree: int) -> List[int]:
         line = access.line
         # A fresh entry starts at this line: the zero delta below returns
         # nothing at confidence 0.
-        entry = self._ip_table.get_or_insert(
-            access.pc, lambda: _StrideEntry(last_line=line)
-        )
+        entry = self._ip_table.get_or_insert(access.pc, _StrideEntry, line)
         delta = line - entry.last_line
         entry.last_line = line
+        confidence = entry.confidence
         if delta == 0:
             # Same-line access: no stride information.
-            self._last_confidence = entry.confidence.value / 3.0
+            self._last_confidence = confidence / 3.0
             return []
-        if delta == entry.stride:
-            entry.confidence.increment()
+        stride = entry.stride
+        if delta == stride:
+            if confidence < _MAX_CONFIDENCE:
+                confidence += 1
         else:
-            entry.confidence.decrement()
-            if entry.confidence.saturated_low:
-                entry.stride = delta
-        self._last_confidence = entry.confidence.value / 3.0
+            if confidence > 0:
+                confidence -= 1
+            if confidence == 0:
+                entry.stride = stride = delta
+        entry.confidence = confidence
+        self._last_confidence = confidence / 3.0
 
-        if (
-            entry.stride == 0
-            or entry.confidence.value < _ISSUE_CONFIDENCE
-            or degree <= 0
-        ):
+        if stride == 0 or confidence < _ISSUE_CONFIDENCE or degree <= 0:
             return []
-        return [line + entry.stride * (i + 1) for i in range(degree)]
+        return list(range(line + stride, line + stride * (degree + 1), stride))

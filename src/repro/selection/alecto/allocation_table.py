@@ -12,29 +12,69 @@ temporal metadata storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.common.tables import SetAssociativeTable, TableStats
 from repro.selection.alecto.states import PrefetcherState, StateKind
+
+
+class PrefetcherStates(list):
+    """One PC's per-prefetcher states, plus what is derived from them.
+
+    ``grants`` (the selector's degree plan, see
+    ``AlectoSelection._grants``) and ``aggressive`` (any IA state) start
+    as None, are filled on first use, and are cleared by every mutation
+    of the list, so writes such as ``entry.states[i] = state`` keep them
+    correct.  States are replaced, never changed in place.
+    """
+
+    __slots__ = ("grants", "aggressive")
+
+    def __init__(self, states: Iterable[PrefetcherState] = ()):
+        list.__init__(self, states)
+        self.grants = None
+        self.aggressive = None
+
+
+def _clearing(method):
+    def mutate(self, *args, **kwargs):
+        self.grants = self.aggressive = None
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = method.__name__
+    mutate.__doc__ = method.__doc__
+    return mutate
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+    "insert", "pop", "remove", "clear", "sort", "reverse",
+):
+    setattr(PrefetcherStates, _name, _clearing(getattr(list, _name)))
 
 
 @dataclass(slots=True)
 class AllocationEntry:
     """States of all prefetchers for one memory access instruction."""
 
-    states: List[PrefetcherState] = field(default_factory=list)
+    states: PrefetcherStates = field(default_factory=PrefetcherStates)
 
     def reset(self) -> None:
         """Dead-counter escape hatch: return all prefetchers to UI."""
-        self.states = [PrefetcherState.ui() for _ in self.states]
+        self.states = PrefetcherStates([PrefetcherState.ui() for _ in self.states])
 
     def any_aggressive(self) -> bool:
-        # Inline the kind test: this runs once per demand access and the
-        # property indirection of is_aggressive dominates at that rate.
-        for state in self.states:
-            if state.kind is StateKind.IA:
-                return True
-        return False
+        """True when some prefetcher is in an IA state (cached per states)."""
+        states = self.states
+        aggressive = states.aggressive
+        if aggressive is None:
+            aggressive = False
+            for state in states:
+                if state.kind is StateKind.IA:
+                    aggressive = True
+                    break
+            states.aggressive = aggressive
+        return aggressive
 
 
 class AllocationTable:
@@ -97,9 +137,9 @@ class AllocationTable:
     # -- access ----------------------------------------------------------------
 
     def _fresh_entry(self) -> AllocationEntry:
-        return AllocationEntry(
-            states=[PrefetcherState.ui() for _ in range(self.num_prefetchers)]
-        )
+        return AllocationEntry(PrefetcherStates(
+            [PrefetcherState.ui() for _ in range(self.num_prefetchers)]
+        ))
 
     def lookup(self, pc: int) -> AllocationEntry:
         """Return the entry for ``pc``, inserting a fresh all-UI one on miss."""

@@ -57,13 +57,13 @@ class SandboxTable:
 
     def record_issue(self, line: int, pc: int, prefetcher_index: int) -> None:
         """Log an issued prefetch for ``line`` triggered by ``pc``."""
-        entry = self._table.get_or_insert(
-            line,
-            lambda: SandboxEntry(
-                pc_tag=self.pc_tag(pc), valid=[False] * self.num_prefetchers
-            ),
-        )
+        entry = self._table.get_or_insert(line, self._new_entry, pc)
         entry.valid[prefetcher_index] = True
+
+    def _new_entry(self, pc: int) -> SandboxEntry:
+        return SandboxEntry(
+            pc_tag=fold_pc(pc, _PC_TAG_BITS), valid=[False] * self.num_prefetchers
+        )
 
     # -- confirmation -------------------------------------------------------------
 

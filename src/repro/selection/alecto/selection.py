@@ -17,11 +17,15 @@ request (the mechanism behind Fig. 1's table-miss reduction).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.common.types import DemandAccess, PrefetchCandidate
-from repro.prefetchers.base import Prefetcher
-from repro.selection.alecto.allocation_table import AllocationEntry, AllocationTable
+from repro.prefetchers.base import Grant, Prefetcher, train_grants
+from repro.selection.alecto.allocation_table import (
+    AllocationEntry,
+    AllocationTable,
+    PrefetcherStates,
+)
 from repro.selection.alecto.sample_table import SampleEntry, SampleTable
 from repro.selection.alecto.sandbox_table import SandboxTable
 from repro.selection.alecto.states import PrefetcherState, StateKind
@@ -142,16 +146,12 @@ class AlectoSelection(SelectionAlgorithm):
             sample_table.add_confirmed(sample, confirmed)
         entry = self.allocation_table.lookup(pc)
         # Degrees come from the states before this access's epoch update.
-        grants = self._grants(entry.states)
+        grants = entry.states.grants
+        if grants is None:
+            grants = self._grants(entry.states)
         if sample_table.add_demand(sample):
             self._end_epoch(entry, sample)
-        candidates: List[PrefetchCandidate] = []
-        for prefetcher, degree, next_level_from in grants:
-            produced = prefetcher.train(access, degree)
-            if next_level_from is not None:
-                for candidate in produced[next_level_from:]:
-                    candidate.to_next_level = True
-            candidates.extend(produced)
+        candidates = train_grants(access, grants)
         self._stepped = (access, entry, sample)
         if not candidates:
             return candidates
@@ -209,7 +209,12 @@ class AlectoSelection(SelectionAlgorithm):
 
         # Dead-counter deadlock breaking (Section IV-C): only meaningful
         # when the PC claims an aggressive prefetcher yet none produces.
-        if entry is not None and entry.any_aggressive():
+        if entry is None:
+            return
+        aggressive = entry.states.aggressive
+        if aggressive is None:
+            aggressive = entry.any_aggressive()
+        if aggressive:
             if sample is None:
                 sample = self.sample_table.entry_for(pc)
             if self.sample_table.add_prediction_outcome(sample, bool(issued)):
@@ -218,20 +223,28 @@ class AlectoSelection(SelectionAlgorithm):
 
     # -- rules shared by step() and the hooks -------------------------------------
 
-    def _grants(
-        self, states: List[PrefetcherState]
-    ) -> List[Tuple[Prefetcher, int, Optional[int]]]:
+    def _grants(self, states: PrefetcherStates) -> List[Grant]:
         """Degree policy: ``(prefetcher, degree, next_level_from)`` for each
-        prefetcher that receives the request (IB ones get nothing)."""
+        prefetcher that receives the request (IB ones get nothing).
+
+        The plan is cached on ``states`` with its "any IA state" flag;
+        both are computed again after the states change.
+        """
+        grants = states.grants
+        if grants is not None:
+            return grants
         cfg = self.config
         conservative = cfg.conservative_degree
         fixed = cfg.fixed_degree
         overrides = self._degree_overrides_by_index
         prefetchers = self.prefetchers
         grants = []
+        aggressive = False
         for index, state in enumerate(states):
             kind = state.kind
-            if kind is StateKind.IB:
+            if kind is StateKind.IA:
+                aggressive = True
+            elif kind is StateKind.IB:
                 continue
             override = overrides[index]
             if override is not None:
@@ -244,6 +257,8 @@ class AlectoSelection(SelectionAlgorithm):
                 grants.append(
                     (prefetchers[index], conservative + state.level + 1, conservative)
                 )
+        states.grants = grants
+        states.aggressive = aggressive
         return grants
 
     def _end_epoch(self, entry: AllocationEntry, sample: SampleEntry) -> None:

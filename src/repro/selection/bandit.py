@@ -20,7 +20,7 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.types import DemandAccess, PrefetchCandidate
-from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.base import Prefetcher, train_grants
 from repro.selection.base import AllocationDecision, SelectionAlgorithm, dedupe_by_line
 from repro.selection.filters import RecentRequestFilter
 
@@ -147,9 +147,9 @@ class BanditSelection(SelectionAlgorithm):
         prefetcher trains at its degree in the current arm, and the
         batch is filtered as :meth:`filter_prefetches` does."""
         self._count_access()
-        candidates: List[PrefetchCandidate] = []
-        for prefetcher, degree in zip(self.prefetchers, self._current_arm):
-            candidates.extend(prefetcher.train(access, degree))
+        candidates = train_grants(
+            access, zip(self.prefetchers, self._current_arm, itertools.repeat(None))
+        )
         return self.filter_prefetches(candidates, access)
 
     def allocate(self, access: DemandAccess) -> List[AllocationDecision]:

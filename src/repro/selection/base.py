@@ -20,6 +20,13 @@ probes each table once; IPCP, DOL and Bandit skip the allocation
 objects), and must return the same batch and leave the same state.  The
 simulator then issues the batch and calls ``post_issue``.
 
+Step 3 is one training pass over the whole allocation, whichever path
+got there: every ``step`` hands its ``(prefetcher, degree,
+next_level_from)`` grants to :func:`~repro.prefetchers.base.train_grants`,
+the only copy of the training rule (occurrence counting, the
+``max_degree`` clamp, candidate construction and next-level marking).
+``Prefetcher.train`` is the same pass for one prefetcher.
+
 Asynchronous events arrive via ``observe_prefetch_used`` /
 ``observe_prefetch_evicted`` (first demand hit on, or unused eviction of,
 a prefetched line) and ``performance_sample`` (committed-instruction
@@ -40,7 +47,7 @@ from repro.common.types import (
     PrefetchCandidate,
 )
 from repro.memory.cache import PrefetchRecord
-from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.base import Prefetcher, train_grants
 
 
 @dataclass(slots=True)
@@ -102,18 +109,14 @@ class SelectionAlgorithm(abc.ABC):
     def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
         """Steps 1-4 for one demand request: the candidates to issue.
 
-        Trains each allocated prefetcher at its degree, marks candidates
-        at or past a decision's ``next_level_from`` for the next cache
-        level, and returns what ``filter_prefetches`` keeps.
+        Trains the allocated prefetchers in one :func:`train_grants` pass
+        and returns what ``filter_prefetches`` keeps.
         """
         self.observe_demand(access)
-        candidates: List[PrefetchCandidate] = []
-        for decision in self.allocate(access):
-            produced = decision.prefetcher.train(access, decision.degree)
-            if decision.next_level_from is not None:
-                for candidate in produced[decision.next_level_from:]:
-                    candidate.to_next_level = True
-            candidates.extend(produced)
+        candidates = train_grants(access, [
+            (decision.prefetcher, decision.degree, decision.next_level_from)
+            for decision in self.allocate(access)
+        ])
         return self.filter_prefetches(candidates, access)
 
     def observe_demand(self, access: DemandAccess) -> None:

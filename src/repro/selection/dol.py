@@ -10,10 +10,11 @@ P3 still trains (pollutes) the tables of P1 and P2 on its way through.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, List, Sequence
 
 from repro.common.types import DemandAccess, PrefetchCandidate
-from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.base import Prefetcher, train_grants
 from repro.selection.base import AllocationDecision, SelectionAlgorithm, dedupe_by_line
 from repro.selection.filters import RecentRequestFilter
 
@@ -46,10 +47,9 @@ class DOLSelection(SelectionAlgorithm):
 
     def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
         """The composed protocol without its allocation objects."""
-        degree = self.degree
-        candidates: List[PrefetchCandidate] = []
-        for prefetcher in self._walk(access):
-            candidates.extend(prefetcher.train(access, degree))
+        candidates = train_grants(
+            access, zip(self._walk(access), repeat(self.degree), repeat(None))
+        )
         return self.filter_prefetches(candidates, access)
 
     def allocate(self, access: DemandAccess) -> List[AllocationDecision]:

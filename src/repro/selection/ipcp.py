@@ -9,10 +9,11 @@ indicts: every PC leaves traces in every table.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Sequence
 
 from repro.common.types import DemandAccess, PrefetchCandidate
-from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.base import Prefetcher, train_grants
 from repro.selection.base import AllocationDecision, SelectionAlgorithm
 from repro.selection.filters import RecentRequestFilter
 
@@ -36,10 +37,9 @@ class IPCPSelection(SelectionAlgorithm):
     def step(self, access: DemandAccess) -> List[PrefetchCandidate]:
         """The composed protocol without its allocation objects: every
         prefetcher trains at the one degree, then the output MUX picks."""
-        degree = self.degree
-        candidates: List[PrefetchCandidate] = []
-        for prefetcher in self.prefetchers:
-            candidates.extend(prefetcher.train(access, degree))
+        candidates = train_grants(
+            access, zip(self.prefetchers, repeat(self.degree), repeat(None))
+        )
         return self.filter_prefetches(candidates, access)
 
     def allocate(self, access: DemandAccess) -> List[AllocationDecision]:
@@ -53,6 +53,8 @@ class IPCPSelection(SelectionAlgorithm):
     ) -> List[PrefetchCandidate]:
         # The output MUX: keep only the highest-priority prefetcher that
         # produced candidates for this request.
+        if not candidates:
+            return []
         for name in self._priority:
             chosen = [c for c in candidates if c.prefetcher == name]
             if chosen:

@@ -186,11 +186,17 @@ class _CoreContext:
         selector = self.selector
         if selector is not None:
             select = selector.step
-            post_issue = selector.post_issue
+            # Hooks a selector leaves at the base class's no-op are skipped.
+            kind = type(selector)
+            post_issue = None
+            if kind.post_issue is not SelectionAlgorithm.post_issue:
+                post_issue = selector.post_issue
+            rewarded = kind.needs_reward is not SelectionAlgorithm.needs_reward
         core_id = self.core_id
         line_shift = self._line_shift
         store = AccessType.STORE
         load = AccessType.LOAD
+        new_tuple = tuple.__new__
 
         for record in records:
             position += 1
@@ -210,15 +216,10 @@ class _CoreContext:
 
             if selector is None:
                 continue
-            access = DemandAccess(
-                pc=record.pc,
-                address=address,
-                access_type=access_type,
-                core_id=core_id,
-                timestamp=position,
-                line=line,
-                region=address >> REGION_SHIFT,
-            )
+            access = new_tuple(DemandAccess, (
+                record.pc, address, access_type, core_id, position, line,
+                address >> REGION_SHIFT,
+            ))
             final = select(access)
             if final:
                 # Deep prefetches land in the L2 to bound L1 pollution:
@@ -233,8 +234,9 @@ class _CoreContext:
                         candidate.to_next_level = True
                     if issue_prefetch(candidate, cycle):
                         metrics.issued += 1
-            post_issue(access, final)
-            if selector.needs_reward:
+            if post_issue is not None:
+                post_issue(access, final)
+            if rewarded and selector.needs_reward:
                 selector.performance_sample(
                     core_stats.instructions, core_stats.cycles
                 )

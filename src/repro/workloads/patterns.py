@@ -144,6 +144,9 @@ class StridePattern(Pattern):
             raise ValueError("stride must be non-zero")
         if dwell < 1:
             raise ValueError("dwell must be >= 1")
+        # A footprint below one stride wraps every step back to the start.
+        if footprint < abs(stride):
+            raise ValueError(f"footprint must be >= abs(stride) = {abs(stride)}")
         self.stride = stride
         self.footprint = footprint
         self.run_length = run_length
@@ -229,12 +232,16 @@ class SpatialPattern(Pattern):
             raise ValueError("offsets must be non-empty")
         if dwell < 1:
             raise ValueError("dwell must be >= 1")
+        # Offsets address lines of whole regions; less than one region
+        # cannot hold them.
+        if footprint < REGION:
+            raise ValueError(f"footprint must be >= {REGION}")
         self.offsets = offsets
         self.footprint = footprint
         self.base = base
         self.sequential_regions = sequential_regions
         self.dwell = dwell
-        self._num_regions = max(1, footprint // REGION)
+        self._num_regions = footprint // REGION
         self._region = rng.randrange(self._num_regions)
         self._index = 0
         self._dwell_index = 0

@@ -234,6 +234,28 @@ def test_footprint_below_one_line_rejected_at_construction(cls, param):
     assert pattern.next_address()[0] >= 0
 
 
+@pytest.mark.parametrize("stride", [256, -256, 64, 4096])
+def test_stride_footprint_below_one_stride_rejected_at_construction(stride):
+    for footprint in (0, LINE, abs(stride) - 1):
+        if footprint >= abs(stride):
+            continue
+        with pytest.raises(ValueError, match=r"^footprint must be >= abs\(stride\)"):
+            StridePattern(0x400, random.Random(1), stride=stride, footprint=footprint)
+    pattern = StridePattern(
+        0x400, random.Random(1), stride=stride, footprint=2 * abs(stride)
+    )
+    # Two stride slots: the walk alternates between them, not pinned to 0.
+    assert len(set(addresses(pattern, 8))) == 2
+
+
+def test_spatial_footprint_below_one_region_rejected_at_construction():
+    for footprint in (0, LINE, REGION - 1):
+        with pytest.raises(ValueError, match=f"^footprint must be >= {REGION}"):
+            SpatialPattern(0x400, random.Random(1), footprint=footprint)
+    pattern = SpatialPattern(0x400, random.Random(1), footprint=REGION, dwell=1)
+    assert all(0 <= address < REGION for address in addresses(pattern, 64))
+
+
 #: Sizes around every bit-length boundary the rejection loop switches
 #: at, up to the largest pointer chase (2**17 nodes) plus one.
 _RNG_SIZES = sorted(

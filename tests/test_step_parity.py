@@ -12,8 +12,17 @@ arms and rewards.
 ``SetAssociativeTable.get_or_insert`` hashes once where ``lookup`` plus
 ``insert`` hash twice; twin tables driven each way must agree on every
 statistic, per-set contents and order, and the replacement RNG.
+
+Every ``step`` trains through one ``train_grants`` pass.  A reference
+copy of the per-prefetcher ``train`` wrapper it replaced, and of the
+composed step that called it, pins the pass: twins driven each way must
+emit the same candidates and count the same training occurrences after
+every access.  Alecto caches its grant plan on each entry's states; a
+write to the states, an epoch and a reset must each change the next
+step's degrees.
 """
 
+import functools
 from dataclasses import replace
 
 import pytest
@@ -21,9 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.tables import SetAssociativeTable
-from repro.common.types import REGION_SHIFT, DemandAccess
-from repro.registry import build_selector
+from repro.common.types import REGION_SHIFT, DemandAccess, PrefetchCandidate
+from repro.prefetchers.base import Prefetcher, train_grants
+from repro.registry import build_prefetcher, build_selector, list_prefetchers
+from repro.selection.alecto.allocation_table import PrefetcherStates
 from repro.selection.alecto.selection import AlectoConfig
+from repro.selection.alecto.states import PrefetcherState
 from repro.selection.base import SelectionAlgorithm
 from repro.workloads import get_profile
 
@@ -293,3 +305,272 @@ def test_get_or_insert_matches_lookup_then_insert(replacement, operations):
         assert _table_state(single) == _table_state(pair)
         assert len(single) == len(pair)
         assert single._rng.getstate() == pair._rng.getstate()
+
+
+# -- one training pass ≡ the per-prefetcher wrapper it replaced ---------------
+
+
+def _reference_train(prefetcher, access, degree):
+    """``Prefetcher.train`` as it was before ``train_grants``."""
+    prefetcher.training_occurrences += 1
+    max_degree = prefetcher.max_degree
+    if max_degree is not None and degree > max_degree:
+        degree = max_degree
+    lines = prefetcher._train(access, degree)
+    if not lines or degree <= 0:
+        return []
+    confidence = prefetcher.prediction_confidence()
+    return [
+        PrefetchCandidate(line, prefetcher.name, access.pc,
+                          prefetcher.fills_next_level, confidence, access.core_id)
+        for line in lines[:degree]
+    ]
+
+
+def _reference_grants(access, grants):
+    """The old composed step's training loop over ``grants``."""
+    candidates = []
+    for prefetcher, degree, next_level_from in grants:
+        produced = _reference_train(prefetcher, access, degree)
+        if next_level_from is not None:
+            for candidate in produced[next_level_from:]:
+                candidate.to_next_level = True
+        candidates.extend(produced)
+    return candidates
+
+
+def _reference_step(selector, access):
+    """The old ``SelectionAlgorithm.step``: hooks in order, one wrapper
+    call per allocation decision."""
+    selector.observe_demand(access)
+    grants = [
+        (decision.prefetcher, decision.degree, decision.next_level_from)
+        for decision in selector.allocate(access)
+    ]
+    return selector.filter_prefetches(_reference_grants(access, grants), access)
+
+
+def _full_candidates(batch):
+    return [
+        (c.line, c.prefetcher, c.pc, c.to_next_level, c.confidence, c.core_id)
+        for c in batch
+    ]
+
+
+def _occurrences(prefetchers):
+    return [(p.name, p.training_occurrences) for p in prefetchers]
+
+
+#: Every registered prefetcher, the temporal one (max_degree 1, fills the
+#: next level) included.
+_PREFETCHERS = sorted(list_prefetchers())
+
+
+def _prefetcher_set():
+    small = {"temporal": {"metadata_bytes": 4096}}
+    return [build_prefetcher(name, **small.get(name, {})) for name in _PREFETCHERS]
+
+
+@st.composite
+def granted_traces(draw):
+    """A trace, replayed once so the temporal prefetcher predicts, plus
+    per access a grant for each prefetcher (or none)."""
+    accesses = draw(traces())
+    accesses += [
+        _access(len(accesses) + i, a.pc, a.line) for i, a in enumerate(accesses)
+    ]
+    grant = st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 8), st.one_of(st.none(), st.integers(0, 4))),
+    )
+    plans = draw(st.lists(
+        st.lists(grant, min_size=len(_PREFETCHERS), max_size=len(_PREFETCHERS)),
+        min_size=len(accesses), max_size=len(accesses),
+    ))
+    return accesses, plans
+
+
+@settings(max_examples=25, deadline=None)
+@given(trace=granted_traces())
+def test_train_grants_matches_the_per_prefetcher_wrapper(trace):
+    accesses, plans = trace
+    new, old = _prefetcher_set(), _prefetcher_set()
+    for access, plan in zip(accesses, plans):
+        new_grants = [(p, *g) for p, g in zip(new, plan) if g is not None]
+        old_grants = [(p, *g) for p, g in zip(old, plan) if g is not None]
+        assert _full_candidates(train_grants(access, new_grants)) == (
+            _full_candidates(_reference_grants(access, old_grants))
+        )
+        assert _occurrences(new) == _occurrences(old)
+
+
+@pytest.mark.parametrize("next_level_from", [None, 0, 3])
+def test_temporal_grant_is_clamped_and_fills_the_next_level(next_level_from):
+    temporal = build_prefetcher("temporal", metadata_bytes=4096)
+    reference = build_prefetcher("temporal", metadata_bytes=4096)
+    emitted = []
+    for index, line in enumerate([5, 9, 40, 77] * 8):
+        access = _access(index, 0x400, line)
+        batch = train_grants(access, [(temporal, 4, next_level_from)])
+        assert _full_candidates(batch) == _full_candidates(
+            _reference_grants(access, [(reference, 4, next_level_from)])
+        )
+        emitted += batch
+    assert emitted and all(c.to_next_level for c in emitted)
+    assert temporal.training_occurrences == reference.training_occurrences == 32
+
+
+class _Overeager(Prefetcher):
+    """Returns more lines than granted; the pass keeps the first ``degree``."""
+
+    name = "overeager"
+
+    def _train(self, access, degree):
+        return [access.line + i for i in range(1, 11)]
+
+    def tables(self):
+        return ()
+
+
+@pytest.mark.parametrize("degree, next_level_from", [(0, None), (3, None), (3, 1)])
+def test_pass_keeps_the_first_degree_lines(degree, next_level_from):
+    access = _access(0, 0x400, 100)
+    batch = train_grants(access, [(_Overeager(), degree, next_level_from)])
+    assert _full_candidates(batch) == _full_candidates(
+        _reference_grants(access, [(_Overeager(), degree, next_level_from)])
+    )
+    assert [c.line for c in batch] == [101, 102, 103][:degree]
+
+
+def test_train_is_the_one_prefetcher_pass():
+    stride = build_prefetcher("stride")
+    reference = build_prefetcher("stride")
+    for index in range(32):
+        access = _access(index, 0x400, 3 * index)
+        assert _full_candidates(stride.train(access, 4)) == (
+            _full_candidates(_reference_train(reference, access, 4))
+        )
+    assert stride.training_occurrences == reference.training_occurrences == 32
+
+
+#: (selector spec, build_selector keyword arguments): every selector on
+#: the shared pass, through its own step or the composed one.
+PASS_CONFIGS = {
+    "alecto": ("alecto", {"alecto_config": _TIGHT}),
+    "alecto_fix": ("alecto_fix", {"alecto_config": _TIGHT}),
+    "ipcp": ("ipcp", {}),
+    "dol": ("dol", {}),
+    "bandit": ("bandit6", {"with_temporal": True, "temporal_bytes": 4096}),
+    "ppf": ("ppf_aggressive", {}),
+    "triangel": ("triangel", {"with_temporal": True, "temporal_bytes": 4096}),
+    "with_temporal": (
+        "alecto",
+        {"alecto_config": _TIGHT, "with_temporal": True, "temporal_bytes": 4096},
+    ),
+}
+
+
+def _drive_against_reference(config, accesses):
+    """A selector on the new pass against a twin on the reference wrapper
+    (shadow training included), access by access."""
+    spec, kwargs = PASS_CONFIGS[config]
+    new, old = build_selector(spec, **kwargs), build_selector(spec, **kwargs)
+    for prefetcher in old.prefetchers:
+        prefetcher.train = functools.partial(_reference_train, prefetcher)
+    if hasattr(new, "arms"):
+        new.epoch_accesses = old.epoch_accesses = 16
+    for index, access in enumerate(accesses):
+        fast = new.step(access)
+        slow = _reference_step(old, access)
+        assert _full_candidates(fast) == _full_candidates(slow)
+        for twin, batch in ((new, fast), (old, slow)):
+            twin.post_issue(access, batch)
+            if twin.needs_reward:
+                twin.performance_sample(3 * index + index % 7, 2.0 * index + 1)
+        assert _occurrences(new.prefetchers) == _occurrences(old.prefetchers)
+    return new
+
+
+@pytest.mark.parametrize("config", sorted(PASS_CONFIGS))
+@settings(max_examples=15, deadline=None)
+@given(accesses=traces())
+def test_step_matches_the_reference_wrapper(config, accesses):
+    _drive_against_reference(config, accesses)
+
+
+@pytest.mark.parametrize("config", sorted(PASS_CONFIGS))
+def test_step_matches_the_reference_wrapper_on_a_profile_trace(config):
+    records = get_profile("gcc").generate(1200, seed=2)
+    selector = _drive_against_reference(
+        config, [_access(i, r.pc, r.address >> 6) for i, r in enumerate(records)]
+    )
+    assert sum(p.training_occurrences for p in selector.prefetchers) > 1200
+
+
+# -- Alecto's cached grant plan ------------------------------------------------
+
+_PC = 0x400200
+
+
+def _recording_alecto():
+    """Default Alecto whose prefetchers record their granted degrees."""
+    selector = build_selector("alecto")
+    granted = []
+    for prefetcher in selector.prefetchers:
+        def record(access, degree, name=prefetcher.name):
+            granted.append((name, degree))
+            return []
+
+        prefetcher._train = record
+    return selector, granted
+
+
+def _degrees_of_next_step(selector, granted, index):
+    granted.clear()
+    access = _access(index, _PC, 1000 + index)
+    selector.post_issue(access, selector.step(access))
+    return dict(granted)
+
+
+def test_grant_plan_follows_direct_state_writes():
+    selector, granted = _recording_alecto()
+    names = [p.name for p in selector.prefetchers]
+    assert _degrees_of_next_step(selector, granted, 0) == dict.fromkeys(names, 3)
+    entry = selector.allocation_table.peek(_PC)
+    entry.states[0] = PrefetcherState.ia(2)
+    assert entry.any_aggressive()
+    assert _degrees_of_next_step(selector, granted, 1) == {
+        names[0]: 6, names[1]: 3, names[2]: 3
+    }
+    entry.states[1] = PrefetcherState.ib(0)
+    assert _degrees_of_next_step(selector, granted, 2) == {names[0]: 6, names[2]: 3}
+    entry.states[0] = PrefetcherState.ui()
+    assert not entry.any_aggressive()
+    assert _degrees_of_next_step(selector, granted, 3) == {names[0]: 3, names[2]: 3}
+
+
+def test_grant_plan_follows_an_epoch_and_a_reset():
+    selector, granted = _recording_alecto()
+    names = [p.name for p in selector.prefetchers]
+    _degrees_of_next_step(selector, granted, 0)
+    entry = selector.allocation_table.peek(_PC)
+    selector.allocation_table.apply_epoch(entry, [1.0, None, None])
+    assert repr(entry.states) == "[IA_0, IB_0, IB_0]"
+    assert _degrees_of_next_step(selector, granted, 1) == {names[0]: 4}
+    entry.reset()
+    assert _degrees_of_next_step(selector, granted, 2) == dict.fromkeys(names, 3)
+
+
+def test_state_list_mutations_drop_the_plan():
+    states = PrefetcherStates([PrefetcherState.ia(1), PrefetcherState.ui()])
+    for mutate in (
+        lambda s: s.append(PrefetcherState.ui()),
+        lambda s: s.pop(),
+        lambda s: s.extend([]),
+        lambda s: s.__delitem__(0),
+        lambda s: s.__setitem__(slice(0, 1), [PrefetcherState.ui()]),
+        lambda s: s.reverse(),
+    ):
+        states.grants, states.aggressive = ["stale"], True
+        mutate(states)
+        assert states.grants is None and states.aggressive is None

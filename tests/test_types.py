@@ -53,6 +53,17 @@ class TestDemandAccess:
         assert access.access_type is AccessType.LOAD
         assert access.core_id == 0
 
+    def test_positional_build_matches_keywords(self):
+        # The simulator's loop builds accesses with tuple.__new__.
+        fields = (0x400, 8320, AccessType.STORE, 1, 9, 130, 2)
+        built = tuple.__new__(DemandAccess, fields)
+        assert type(built) is DemandAccess
+        assert built == DemandAccess(
+            pc=0x400, address=8320, access_type=AccessType.STORE, core_id=1,
+            timestamp=9,
+        )
+        assert (built.line, built.region, built.timestamp) == (130, 2, 9)
+
 
 class TestPrefetchCandidate:
     def test_defaults(self):
