@@ -12,8 +12,8 @@ and diffed mechanically.
 
 - across experiments (``run_experiments`` with several names), and
 - across the independent (benchmark, selector) cells of a speedup suite
-  (:meth:`SuiteRunner.speedup_suite`, used by
-  :func:`repro.experiments.common.speedup_suite` when ``jobs > 1``),
+  (:meth:`SuiteRunner.speedup_suite`, the one body behind
+  :func:`repro.experiments.common.speedup_suite`),
 
 with the benchmark's access stream recorded **once** — spooled to an
 on-disk block-compressed ``repro.trace.v2`` file
@@ -369,8 +369,8 @@ def pool_simulation_count() -> int:
 
 
 #: Per-process cache of generated traces, keyed by
-#: (benchmark, accesses, seed): cells of the same benchmark that land on
-#: the same worker, or on the serial path in a later sweep point, reuse
+#: (benchmark, accesses, seed): in-process cells of the same benchmark,
+#: in this suite or a later sweep point (and Figs. 10 and 18), reuse
 #: the stream instead of regenerating it.  The limit holds a whole suite
 #: (SPEC06's memory-intensive set is 18 benchmarks), so a sweep that
 #: visits the same suite once per point does not clear it every point.
@@ -956,35 +956,6 @@ def _fire_cell_faults(token: str, attempt: int) -> None:
     faults.fire("cell_stall", token, attempt)
 
 
-def _cell_worker(
-    profile,
-    selector_name: Optional[str],
-    accesses: int,
-    seed: int,
-    config,
-    selector_kwargs: Dict[str, Any],
-    attempt: int = 0,
-) -> Dict[str, Any]:
-    """Simulate one (benchmark, selector) cell; returns its summary rows.
-
-    In-memory fallback used when trace spooling is disabled: each worker
-    regenerates (and caches) the benchmark's stream itself.
-    """
-    with faults.attempt_context(attempt):
-        _fire_cell_faults(
-            f"cell/{profile.name}/{selector_name or 'none'}", attempt
-        )
-        trace = _cached_trace(profile, accesses, seed)
-        selector = (
-            make_selector(selector_name, **selector_kwargs)
-            if selector_name is not None
-            else None
-        )
-        return simulation_rows(
-            simulate(trace, selector, config=config, name=profile.name)
-        )
-
-
 def _trace_cell_worker(
     trace_path: str,
     benchmark: str,
@@ -1014,7 +985,7 @@ def _trace_cell_worker(
         )
 
 
-def _spool_traces(
+def _spool_streams(
     profiles: Mapping[str, Any], accesses: int, seed: int, spool_dir: str
 ) -> Dict[str, str]:
     """Record every profile's stream once into ``spool_dir``.
@@ -1230,32 +1201,26 @@ class SuiteRunner:
         accesses: int = 15000,
         seed: int = 1,
         config=None,
-        spool_traces: bool = True,
         **selector_kwargs: Any,
     ) -> Dict[str, Dict[str, float]]:
-        """Parallel equivalent of
-        :func:`repro.experiments.common.speedup_suite`.
+        """Speedup over no-prefetching for every (benchmark, selector) pair.
 
-        Args:
-            spool_traces: record each benchmark's stream once to an
-                on-disk ``repro.trace.v1`` file and have every worker
-                replay it lazily (the record-once / replay-everywhere
-                pipeline; rows are identical either way).  ``False``
-                falls back to per-worker in-memory regeneration.
+        Returns ``{benchmark: {selector: speedup}}``; every selector of
+        a benchmark sees the identical access stream.  Each cell is read
+        through ``self.store`` (or the ambient
+        :func:`~repro.store.resultstore.active_store`) and only the
+        misses simulate, claim-first
+        (:func:`~repro.store.leases.resolve_leased`), each persisted as
+        it completes.  At ``jobs == 1`` claimed cells simulate
+        in-process on :func:`_cached_trace`; at ``jobs > 1`` each
+        benchmark's stream is spooled once to a ``repro.trace.v2`` file
+        and the cells fan out over the pool (:func:`_trace_cell_worker`,
+        retried per ``self.policy``).  Cells a peer held and this node
+        later won always simulate in-process.  Rows are identical at
+        every job count.
         """
-        if self.jobs == 1:
-            from repro.experiments.common import speedup_suite
-
-            return speedup_suite(
-                profiles,
-                selector_names,
-                accesses=accesses,
-                seed=seed,
-                config=config,
-                jobs=1,
-                **selector_kwargs,
-            )
         from repro.experiments.common import cell_store_key
+        from repro.store.leases import resolve_leased
         from repro.store.resultstore import active_store
 
         store = self.store if self.store is not None else active_store()
@@ -1266,115 +1231,93 @@ class SuiteRunner:
         ]
         keys: Dict[Any, Any] = {}
         summaries: Dict[Any, Dict[str, Any]] = {}
-        if store is not None:
-            for cell in cells:
-                key = cell_store_key(
-                    profiles[cell[0]], cell[1], accesses, seed, config,
-                    selector_kwargs,
+
+        def lookup(cell) -> bool:
+            value = store.get_value(keys[cell])
+            if value is not None:
+                summaries[cell] = value
+            return value is not None
+
+        def record(cell, rows: Dict[str, Any]) -> None:
+            summaries[cell] = rows
+            if store is not None:
+                store.put(keys[cell], rows, meta=_cell_meta(*cell))
+
+        def in_process(batch, landed) -> None:
+            for cell in batch:
+                bench, spec = cell
+                result = simulate(
+                    _cached_trace(profiles[bench], accesses, seed),
+                    make_selector(spec, **selector_kwargs) if spec is not None else None,
+                    config=config,
+                    name=bench,
                 )
-                keys[cell] = key
-                value = store.get_value(key)
-                if value is not None:
-                    summaries[cell] = value
-        missing = [cell for cell in cells if cell not in summaries]
-        deferred: List[Any] = []
-        held: set = set()
-        if store is not None and missing:
-            # Claim-before-compute at cell grain: several nodes fanning
-            # out over one shared store partition the grid instead of
-            # simulating the same cells in parallel.
-            from repro.store.resultstore import lease_ttl
+                record(cell, simulation_rows(result))
+                landed(cell)
 
-            ttl = lease_ttl()
-            claimed = []
-            for cell in missing:
-                if store.claim(keys[cell], ttl):
-                    claimed.append(cell)
-                    held.add(cell)
-                else:
-                    deferred.append(cell)
-            missing = claimed
-        spool_dir = None
-        try:
-            if missing:
-                if spool_traces:
-                    spool_dir = tempfile.mkdtemp(prefix="repro-trace-spool-")
-                    benches = {cell[0] for cell in missing}
-                    paths = _spool_traces(
-                        {b: profiles[b] for b in profiles if b in benches},
-                        accesses, seed, spool_dir,
+        def pooled(batch, landed) -> None:
+            spool_dir = tempfile.mkdtemp(prefix="repro-trace-spool-")
+            try:
+                benches = {bench for bench, _ in batch}
+                paths = _spool_streams(
+                    {b: profiles[b] for b in profiles if b in benches},
+                    accesses, seed, spool_dir,
+                )
+                tasks = [
+                    _Task(
+                        key=cell,
+                        label=f"cell/{cell[0]}/{cell[1] or 'none'}",
+                        fn=_trace_cell_worker,
+                        make_args=lambda attempt, cell=cell: (
+                            paths[cell[0]], cell[0], cell[1],
+                            config, selector_kwargs, attempt,
+                        ),
+                        deadline=self.policy.cell_deadline,
                     )
-
-                    def make_task(cell):
-                        return _Task(
-                            key=cell,
-                            label=f"cell/{cell[0]}/{cell[1] or 'none'}",
-                            fn=_trace_cell_worker,
-                            make_args=lambda attempt, cell=cell: (
-                                paths[cell[0]], cell[0], cell[1],
-                                config, selector_kwargs, attempt,
-                            ),
-                            deadline=self.policy.cell_deadline,
-                        )
-                else:
-
-                    def make_task(cell):
-                        return _Task(
-                            key=cell,
-                            label=f"cell/{cell[0]}/{cell[1] or 'none'}",
-                            fn=_cell_worker,
-                            make_args=lambda attempt, cell=cell: (
-                                profiles[cell[0]], cell[1], accesses, seed,
-                                config, selector_kwargs, attempt,
-                            ),
-                            deadline=self.policy.cell_deadline,
-                        )
-
-                tasks = [make_task(cell) for cell in missing]
-                absorbed = None
-                if store is not None:
-                    # On re-dispatch (after a pool crash or deadline
-                    # recycle), skip any cell another worker already
-                    # persisted — the store is the arbiter of progress.
-                    def absorbed(task):
-                        return store.get_value(keys[task.key])
-
-                # Persist each cell as it completes (not in submission
-                # order), so an interrupted fan-out resumes from every
-                # cell that actually finished.
+                    for cell in batch
+                ]
+                # On re-dispatch (after a pool crash or deadline
+                # recycle), skip any cell another process already
+                # persisted: the store is the arbiter of progress.
+                absorbed = (
+                    None
+                    if store is None
+                    else lambda task: store.get_value(keys[task.key])
+                )
                 global _POOL_SIMULATIONS
-                stats = DispatchStats()
                 for task, status, value in _dispatch_pool(
-                    self.jobs, tasks, self.policy, stats, absorbed=absorbed
+                    self.jobs, tasks, self.policy, DispatchStats(),
+                    absorbed=absorbed,
                 ):
                     if status == "ok":
                         _POOL_SIMULATIONS += 1  # one simulate() per cell
-                        if store is not None:
-                            store.put(
-                                keys[task.key],
-                                value,
-                                meta=_cell_meta(task.key[0], task.key[1]),
-                            )
-                    # "absorbed": another process simulated and stored
-                    # the cell; use it without charging a simulation.
-                    summaries[task.key] = value
-                    if store is not None and task.key in held:
-                        store.release(keys[task.key])
-                        held.discard(task.key)
-            if deferred:
-                self._resolve_deferred_cells(
-                    store, deferred, keys, summaries, held,
-                    profiles, accesses, seed, config, selector_kwargs,
-                )
-        except Exception:
-            _evict_pool(self.jobs)
-            raise
-        finally:
-            if store is not None:
-                for cell in held:
-                    store.release(keys[cell])
-            if spool_dir is not None:
+                        record(task.key, value)
+                    else:
+                        # "absorbed": another process simulated and
+                        # stored the cell; use it without a simulation.
+                        summaries[task.key] = value
+                    landed(task.key)
+            except Exception:
+                _evict_pool(self.jobs)
+                raise
+            finally:
                 shutil.rmtree(spool_dir, ignore_errors=True)
+
+        if store is not None:
+            for cell in cells:
+                keys[cell] = cell_store_key(
+                    profiles[cell[0]], cell[1], accesses, seed, config,
+                    selector_kwargs,
+                )
+                lookup(cell)
+        resolve_leased(
+            store,
+            {cell: keys.get(cell) for cell in cells if cell not in summaries},
+            lookup,
+            pooled if self.jobs > 1 else in_process,
+            leftover=in_process,
+            what="cell",
+        )
         rows: Dict[str, Dict[str, float]] = {}
         for bench in profiles:
             baseline = summaries[(bench, None)]["ipc"]
@@ -1387,68 +1330,6 @@ class SuiteRunner:
                 for selector in selector_names
             }
         return rows
-
-    def _resolve_deferred_cells(
-        self,
-        store,
-        deferred: List[Any],
-        keys: Dict[Any, Any],
-        summaries: Dict[Any, Dict[str, Any]],
-        held: set,
-        profiles: Mapping[str, Any],
-        accesses: int,
-        seed: int,
-        config,
-        selector_kwargs: Dict[str, Any],
-    ) -> None:
-        """Resolve cells another node held a claim on at fan-out time.
-
-        Polls each deferred cell with growing backoff: the peer's record
-        lands (a plain store hit), or its lease expires and our
-        re-``claim`` wins — then the cell simulates *in this process*
-        (contended leftovers are rare; spinning the pool back up for
-        them costs more than it saves).  A generous overall deadline
-        backstops a wedged peer, mirroring the store's fail-open lease
-        policy.
-        """
-        from repro.store.resultstore import lease_ttl
-
-        ttl = lease_ttl()
-
-        def compute(cell) -> None:
-            summaries[cell] = _cell_worker(
-                profiles[cell[0]], cell[1], accesses, seed,
-                config, selector_kwargs,
-            )
-            store.put(
-                keys[cell], summaries[cell], meta=_cell_meta(cell[0], cell[1])
-            )
-
-        pending = list(deferred)
-        poll = 0.05
-        give_up_at = time.monotonic() + 2.0 * ttl + 60.0
-        while pending:
-            still: List[Any] = []
-            for cell in pending:
-                value = store.get_value(keys[cell])
-                if value is not None:
-                    summaries[cell] = value
-                elif store.claim(keys[cell], ttl):
-                    held.add(cell)
-                    compute(cell)
-                    store.release(keys[cell])
-                    held.discard(cell)
-                else:
-                    still.append(cell)
-            pending = still
-            if not pending:
-                return
-            if time.monotonic() > give_up_at:
-                for cell in pending:
-                    compute(cell)
-                return
-            time.sleep(poll)
-            poll = min(poll * 1.6, 2.0)
 
     # -- sharded trace replay ----------------------------------------------
 

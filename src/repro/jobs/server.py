@@ -49,7 +49,6 @@ import json
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 from urllib import parse as urlparse
 
@@ -61,6 +60,7 @@ from repro.jobs.spec import (
 )
 from repro.log import get_logger
 from repro.output import envelope
+from repro.store.httpd import DaemonHTTPServer, JSONRequestHandler
 
 _log = get_logger("jobs")
 
@@ -465,33 +465,15 @@ class JobManager:
 # -- the daemon ---------------------------------------------------------------
 
 
-class _JobRequestHandler(BaseHTTPRequestHandler):
+class _JobRequestHandler(JSONRequestHandler):
     server_version = "repro-jobs/1"
-    protocol_version = "HTTP/1.1"
+    max_body_bytes = MAX_BODY_BYTES
+    logger = _log
 
     # Provided by _JobServer at runtime.
     server: "_JobServer"
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        _log.debug("%s %s", self.address_string(), format % args)
-
     # -- helpers -----------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        content: bytes = b"",
-        content_type: str = "application/json",
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(content)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        if content:
-            self.wfile.write(content)
 
     def _send_envelope(
         self,
@@ -502,34 +484,6 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
     ) -> None:
         payload = json.dumps(envelope(command, data), sort_keys=True)
         self._send(status, payload.encode("utf-8") + b"\n", extra_headers=extra_headers)
-
-    def _error(self, status: int, message: str,
-               extra_headers: Optional[Dict[str, str]] = None) -> None:
-        self._send(
-            status,
-            json.dumps({"error": message}).encode("utf-8") + b"\n",
-            extra_headers=extra_headers,
-        )
-
-    def _read_body(self) -> Optional[bytes]:
-        """The request body, or None once a bad ``Content-Length`` has
-        been answered: 400 unless it is a decimal integer, 413 above
-        :data:`MAX_BODY_BYTES`.  The connection then closes, since the
-        unread body would otherwise be parsed as the next request."""
-        header = (self.headers.get("Content-Length") or "0").strip()
-        length = int(header) if header.isascii() and header.isdigit() else -1
-        if 0 <= length <= MAX_BODY_BYTES:
-            return self.rfile.read(length) if length else b""
-        self.close_connection = True
-        if length < 0:
-            self._error(400, f"invalid Content-Length: {header!r}")
-        else:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit",
-            )
-        return None
 
     def _job_path(self):
         """Split ``/jobs/<id>[/results]`` → ``(job_id, tail)`` or ``None``."""
@@ -634,15 +588,7 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         self._send_envelope(200, "cancel", {"id": parts[0], "state": state})
 
 
-class _JobServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
-        # shutdown() returns once the loop next polls; at the stdlib's
-        # 0.5 s default every stop of the daemon took about that long.
-        super().serve_forever(poll_interval)
-
+class _JobServer(DaemonHTTPServer):
     def __init__(self, address, manager: JobManager):
         self.manager = manager
         super().__init__(address, _JobRequestHandler)

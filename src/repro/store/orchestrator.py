@@ -37,7 +37,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.log import get_logger
 from repro.store.keys import experiment_key
-from repro.store.resultstore import ResultStore, activate, lease_ttl
+from repro.store.leases import resolve_leased
+from repro.store.resultstore import ResultStore, activate
 
 if TYPE_CHECKING:  # pragma: no cover — avoids importing the experiments
     from repro.experiments.runner import (  # package eagerly
@@ -183,73 +184,6 @@ def _write_journal(
     return path
 
 
-def _resolve_deferred(
-    store: ResultStore,
-    deferred: List[tuple],
-    keys_by_name: Dict[str, Any],
-    ttl: float,
-    hits: Dict[str, Any],
-    report: SuiteReport,
-    held: set,
-    execute,
-    notify,
-) -> None:
-    """Resolve experiments another node held a claim on when we started.
-
-    Polls each deferred key with growing backoff until either the
-    peer's record lands (served as a cache hit) or its lease expires and
-    our re-``claim`` wins (computed here via ``execute``).  Lease expiry
-    guarantees termination: a crashed peer's claim frees within ``ttl``
-    seconds.  A generous overall deadline backstops even a wedged
-    arbiter, mirroring :meth:`ResultStore.claim`'s fail-open policy —
-    worst case is duplicated (byte-identical) work, never a hang.
-    """
-    pending = list(deferred)
-    poll = 0.05
-    give_up_at = time.monotonic() + 2.0 * ttl + 60.0
-    while pending:
-        still: List[tuple] = []
-        to_run: List[tuple] = []
-        for entry in pending:
-            name = entry[0]
-            key = keys_by_name[name]
-            record = store.get(key)
-            result = None
-            if record is not None:
-                try:
-                    result = _result_from_record(record)
-                except ValueError:
-                    result = None
-            if result is not None:
-                hits[name] = result
-                report.cached.append(name)
-                notify({"event": "result", "name": name, "source": "cached",
-                        "result": result})
-            elif store.claim(key, ttl):
-                held.add(name)
-                to_run.append(entry)
-            else:
-                still.append(entry)
-        if to_run:
-            execute(to_run)
-        pending = still
-        if not pending:
-            return
-        if time.monotonic() > give_up_at:
-            _log.warning(
-                "deferred experiment(s) still leased elsewhere after "
-                "%.0fs; computing locally: %s",
-                2.0 * ttl + 60.0,
-                ", ".join(entry[0] for entry in pending),
-            )
-            for entry in pending:
-                held.add(entry[0])
-            execute(pending)
-            return
-        time.sleep(poll)
-        poll = min(poll * 1.6, 2.0)
-
-
 def run_suite(
     names: Optional[Sequence[str]] = None,
     jobs: int = 1,
@@ -313,7 +247,6 @@ def run_suite(
         policy = RetryPolicy()
     resolved = resolve_experiments(names, fast=fast, overrides=overrides)
     report = SuiteReport(results=[], store=store)
-    ttl = lease_ttl()
 
     def notify(event: Dict[str, Any]) -> None:
         if progress is None:
@@ -324,105 +257,104 @@ def run_suite(
             _log.debug("progress callback failed on %r", event.get("event"))
 
     hits: Dict[str, ExperimentResult] = {}
-    misses: List[tuple] = []
-    deferred: List[tuple] = []
     keys_by_name: Dict[str, Any] = {}
+
+    def lookup(name: str) -> bool:
+        """Serve ``name`` from the store; whether its record was usable."""
+        record = store.get(keys_by_name[name])
+        if record is None:
+            return False
+        try:
+            result = _result_from_record(record)
+        except ValueError as exc:
+            # A record that passed the store's integrity checks but
+            # carries an invalid/obsolete result payload (e.g. a future
+            # RESULT_SCHEMA bump) is a miss to recompute and overwrite,
+            # never a crash.  Reclassify the get() that counted a hit.
+            store.stats.hits -= 1
+            store.stats.misses += 1
+            store.stats.corrupt += 1
+            _log.warning(
+                "recomputing %r: cached result record is invalid (%s)", name, exc
+            )
+            return False
+        hits[name] = result
+        report.cached.append(name)
+        notify({"event": "result", "name": name, "source": "cached", "result": result})
+        return True
+
     if store is None:
         misses = list(resolved)
     else:
-        for name, applied, params in resolved:
-            key = experiment_key(name, params)
-            keys_by_name[name] = key
-            record = store.get(key)
-            result = None
-            if record is not None:
-                try:
-                    result = _result_from_record(record)
-                except ValueError as exc:
-                    # A record that passed the store's integrity checks
-                    # but carries an invalid/obsolete result payload
-                    # (e.g. a future RESULT_SCHEMA bump) is a miss to
-                    # recompute and overwrite, never a crash.  Reclassify
-                    # the get() that already counted it as a hit.
-                    store.stats.hits -= 1
-                    store.stats.misses += 1
-                    store.stats.corrupt += 1
-                    _log.warning(
-                        "recomputing %r: cached result record is invalid (%s)",
-                        name,
-                        exc,
-                    )
-            if result is None:
-                misses.append((name, applied, params))
-            else:
-                hits[name] = result
-                report.cached.append(name)
-                notify({"event": "result", "name": name, "source": "cached",
-                        "result": result})
-        # Claim-before-compute: two suites against one shared store
-        # partition the misses — whoever wins a key's lease computes it,
-        # everyone else defers and reads the record when it lands.
-        claimed: List[tuple] = []
-        for entry in misses:
-            if store.claim(keys_by_name[entry[0]], ttl):
-                claimed.append(entry)
-            else:
-                deferred.append(entry)
-                report.deferred.append(entry[0])
-        misses = claimed
+        misses = []
+        for entry in resolved:
+            keys_by_name[entry[0]] = experiment_key(entry[0], entry[2])
+            if not lookup(entry[0]):
+                misses.append(entry)
+
+    #: Each miss's ``(name, applied, params)`` triple, in request order.
+    entries = {entry[0]: entry for entry in misses}
+    stats = DispatchStats()
+    aborted: Optional[BaseException] = None
+    pool_before = pool_simulation_count()
+
+    def on_claimed(deferred: List[str]) -> None:
+        report.deferred.extend(deferred)
         if deferred:
             _log.info(
                 "deferring %d experiment(s) another node claimed: %s",
                 len(deferred),
-                ", ".join(report.deferred),
+                ", ".join(deferred),
             )
+        notify(
+            {
+                "event": "resolved",
+                "requested": len(resolved),
+                "cached": len(report.cached),
+                "deferred": len(report.deferred),
+            }
+        )
 
-    #: Names whose lease this run still holds (released as each record
-    #: is persisted, and unconditionally on the way out).
-    held = {entry[0] for entry in misses} if store is not None else set()
-
-    stats = DispatchStats()
-    aborted: Optional[BaseException] = None
-    pool_before = pool_simulation_count()
-    notify({
-        "event": "resolved",
-        "requested": len(resolved),
-        "cached": len(report.cached),
-        "deferred": len(report.deferred),
-    })
-
-    def execute(batch: List[tuple]) -> None:
+    def execute(batch: List[str], landed) -> None:
         runner = SuiteRunner(jobs=jobs, store=store, policy=policy)
         with activate(store):
             for name, result in runner.run_resolved(
-                batch, keep_going=keep_going, stats=stats, progress=notify
+                [entries[name] for name in batch],
+                keep_going=keep_going,
+                stats=stats,
+                progress=notify,
             ):
                 hits[name] = result
                 report.computed.append(name)
-                if store is not None and name in held:
-                    # run_resolved persisted the record before yielding,
-                    # so peers polling this key flip from "leased" to
-                    # "cached" with no gap.
-                    store.release(keys_by_name[name])
-                    held.discard(name)
-                notify({"event": "result", "name": name,
-                        "source": "computed", "result": result})
+                # run_resolved persisted the record before yielding, so
+                # peers polling this key flip from "leased" to "cached"
+                # with no gap.
+                landed(name)
+                notify(
+                    {
+                        "event": "result",
+                        "name": name,
+                        "source": "computed",
+                        "result": result,
+                    }
+                )
 
     try:
-        if misses:
-            execute(misses)
-        if deferred:
-            _resolve_deferred(
-                store, deferred, keys_by_name, ttl, hits, report, held,
-                execute, notify,
-            )
+        # Claim-before-compute: two suites against one shared store
+        # partition the misses -- whoever wins a key's lease computes
+        # it, everyone else defers and reads the record when it lands.
+        resolve_leased(
+            store,
+            {name: keys_by_name.get(name) for name in entries},
+            lookup,
+            execute,
+            on_claimed=on_claimed,
+            what="experiment",
+        )
     except BaseException as exc:
         aborted = exc
         raise
     finally:
-        if store is not None:
-            for name in held:
-                store.release(keys_by_name[name])
         # Covers both fan-out grains: experiments dispatched to workers
         # AND cells one experiment fanned out via speedup_suite — even
         # when the run aborts mid-way.

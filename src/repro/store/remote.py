@@ -41,7 +41,6 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, Optional, Tuple
 from urllib import error as urlerror
 from urllib import parse as urlparse
@@ -50,6 +49,7 @@ from urllib import request as urlrequest
 from repro.log import get_logger
 from repro.store.backend import StoreBackend, owner_token
 from repro.store.codec import body_digest, decode_record
+from repro.store.httpd import DaemonHTTPServer, JSONRequestHandler
 
 _log = get_logger("store")
 
@@ -249,39 +249,15 @@ class _LeaseTable:
                 del self._leases[digest]
 
 
-class _StoreRequestHandler(BaseHTTPRequestHandler):
+class _StoreRequestHandler(JSONRequestHandler):
     server_version = "repro-store/1"
-    protocol_version = "HTTP/1.1"
+    max_body_bytes = MAX_BODY_BYTES
+    logger = _log
 
     # These annotations are provided by _StoreServer at runtime.
     server: "_StoreServer"
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        _log.debug("%s %s", self.address_string(), format % args)
-
     # -- helpers -----------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        content: bytes = b"",
-        content_type: str = "application/json",
-        extra_headers: Optional[Dict[str, str]] = None,
-        body: bool = True,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(content)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        if body and content:
-            self.wfile.write(content)
-
-    def _error(self, status: int, message: str) -> None:
-        self._send(
-            status, json.dumps({"error": message}).encode("utf-8") + b"\n"
-        )
 
     def _record_digest(self) -> Optional[str]:
         prefix = "/records/"
@@ -298,26 +274,6 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             return None
         digest = urlparse.unquote(path[len(prefix):])
         return digest if _DIGEST_RE.match(digest) else None
-
-    def _read_body(self) -> Optional[bytes]:
-        """The request body, or None once a bad ``Content-Length`` has
-        been answered: 400 unless it is a decimal integer, 413 above
-        :data:`MAX_BODY_BYTES`.  The connection then closes, since the
-        unread body would otherwise be parsed as the next request."""
-        header = (self.headers.get("Content-Length") or "0").strip()
-        length = int(header) if header.isascii() and header.isdigit() else -1
-        if 0 <= length <= MAX_BODY_BYTES:
-            return self.rfile.read(length) if length else b""
-        self.close_connection = True
-        if length < 0:
-            self._error(400, f"invalid Content-Length: {header!r}")
-        else:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit",
-            )
-        return None
 
     # -- records -----------------------------------------------------------
 
@@ -416,15 +372,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         )
 
 
-class _StoreServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
-        # shutdown() returns once the loop next polls; at the stdlib's
-        # 0.5 s default every stop of the daemon took about that long.
-        super().serve_forever(poll_interval)
-
+class _StoreServer(DaemonHTTPServer):
     def __init__(self, address, backend):
         self.backend = backend
         self.leases = _LeaseTable()

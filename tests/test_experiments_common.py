@@ -5,10 +5,10 @@ import pytest
 from repro.experiments.common import (
     SELECTOR_NAMES,
     add_geomean_rows,
+    cell_rows,
     format_table,
     geomean,
     make_selector,
-    run_benchmark,
     speedup_suite,
 )
 from repro.workloads.profiles import profile
@@ -90,11 +90,9 @@ class TestSuiteRunner:
         assert set(rows["tiny_stream"]) == {"ipcp", "alecto"}
         assert all(v > 0 for row in rows.values() for v in row.values())
 
-    def test_run_benchmark_baseline(self):
-        result = run_benchmark(
-            tiny_profiles()["tiny_stream"], None, accesses=500
-        )
-        assert result.selector_name == "none"
+    def test_cell_rows_baseline(self):
+        rows = cell_rows(tiny_profiles()["tiny_stream"], None, accesses=500)
+        assert rows["selector"] == "none"
 
     def test_add_geomean_rows(self):
         profiles = tiny_profiles()

@@ -342,13 +342,19 @@ class TestDeadlines:
         baseline = run_suite(
             ["fig01", "fig08"], overrides=TINY, store=None, policy=FAST
         )
-        # First dispatch of each experiment sleeps 30s; the 3s deadline
-        # cancels it, the pool recycles, and the retry runs stall-free.
-        fault_env("cell_stall:p=1:attempts=1:s=30")
+        # The deadline scales with this machine's speed (three serial
+        # runs of both experiments, at least 3 s), so a stall-free retry
+        # on a busy machine never expires.  First dispatch of each
+        # experiment sleeps ten deadlines; the deadline cancels it, the
+        # pool recycles, and the retry runs stall-free.
+        deadline = max(3.0, 3 * baseline.elapsed_seconds)
+        fault_env(f"cell_stall:p=1:attempts=1:s={10 * deadline:.1f}")
         report = run_suite(
             ["fig01", "fig08"], overrides=TINY, jobs=2, store=store,
             policy=RetryPolicy(
-                experiment_deadline=3.0, backoff_base=0.01, backoff_max=0.05
+                experiment_deadline=deadline,
+                backoff_base=0.01,
+                backoff_max=0.05,
             ),
         )
         assert sorted(report.computed) == ["fig01", "fig08"]
@@ -449,6 +455,35 @@ class TestDispatcherDeterminism:
         assert json.dumps(faulted, default=float) == json.dumps(
             clean, default=float
         )
+
+    def test_deferred_cell_fires_no_fault_sites(
+        self, fault_env, store, monkeypatch
+    ):
+        """A cell won back from a peer's expired lease simulates
+        in-process, where no cell fault site fires: only pooled cells
+        fail (once) and retry, and the rows equal a clean run's."""
+        from repro.experiments.common import cell_store_key
+        from repro.workloads.profiles import profile
+
+        profiles = {
+            "tiny_stream": profile("tiny_stream", "test", True, 0.3, [
+                (1.0, "stream", {"footprint": 8 << 20, "run_length": 400}),
+            ]),
+            "tiny_compute": profile("tiny_compute", "test", False, 0.15, [
+                (1.0, "stride", {"stride": 64, "footprint": 256 << 10}),
+            ]),
+        }
+        clean = SuiteRunner(jobs=1).speedup_suite(profiles, ["ipcp"], accesses=150)
+        monkeypatch.setenv("REPRO_LEASE_TTL", "0.3")
+        key = cell_store_key(profiles["tiny_stream"], "ipcp", 150, 1, None, {})
+        peer = ResultStore(store.root)
+        assert peer.claim(key, 0.3)  # the peer then goes silent
+        fault_env("cell_exception:p=1:attempts=1")
+        faulted = SuiteRunner(jobs=2, store=store, policy=FAST).speedup_suite(
+            profiles, ["ipcp"], accesses=150
+        )
+        assert faulted == clean
+        assert store.get_value(key) is not None
 
     def test_backoff_delay_is_deterministic_and_bounded(self):
         policy = RetryPolicy(

@@ -201,20 +201,28 @@ class TestSuiteRunnerCells:
             COMPOSITES._entries.pop("tmp_pool_composite")
             COMPOSITES._metadata.pop("tmp_pool_composite")
 
-    def test_spooled_traces_identical_to_in_memory_fanout(self):
-        """The record-once / replay-everywhere path (default) must equal
-        both the per-worker in-memory regeneration path and serial."""
+    def test_spooled_traces_identical_to_serial(self, monkeypatch):
+        """The pool replays each benchmark's spooled trace (recorded
+        once) and its rows equal the in-process run's."""
+        from repro.experiments import runner
+
+        spooled_benches = []
+        real = runner._spool_streams
+
+        def counting(profiles, *args):
+            spooled_benches.extend(profiles)
+            return real(profiles, *args)
+
+        monkeypatch.setattr(runner, "_spool_streams", counting)
         profiles = tiny_profiles()
         kwargs = dict(accesses=1000, seed=1)
         serial = speedup_suite(profiles, ["ipcp", "alecto"], jobs=1, **kwargs)
+        assert spooled_benches == []
         spooled = SuiteRunner(jobs=2).speedup_suite(
-            profiles, ["ipcp", "alecto"], spool_traces=True, **kwargs
+            profiles, ["ipcp", "alecto"], **kwargs
         )
-        in_memory = SuiteRunner(jobs=2).speedup_suite(
-            profiles, ["ipcp", "alecto"], spool_traces=False, **kwargs
-        )
+        assert spooled_benches == list(profiles)
         assert json.dumps(serial) == json.dumps(spooled)
-        assert json.dumps(serial) == json.dumps(in_memory)
 
     def test_spool_dir_cleaned_up(self, tmp_path, monkeypatch):
         import tempfile

@@ -164,9 +164,9 @@ class TestSpool:
     def test_suite_spool_writes_v2(self, tmp_path):
         # The runner's spool-once-replay-everywhere path now spools v2.
         from repro.cpu.tracefile import open_trace, sniff_trace_version
-        from repro.experiments.runner import _spool_traces
+        from repro.experiments.runner import _spool_streams
 
-        spooled = _spool_traces(
+        spooled = _spool_streams(
             {"mcf": get_profile("mcf")}, accesses=200, seed=1,
             spool_dir=str(tmp_path),
         )

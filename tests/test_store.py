@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.experiments.common import cell_rows, cell_store_key, speedup_suite
-from repro.experiments.runner import SuiteRunner
+from repro.experiments.runner import SuiteRunner, pool_simulation_count
 from repro.registry import EXPERIMENTS, SELECTORS
 from repro.sim import simulation_count
 from repro.store import (
@@ -547,6 +547,24 @@ class TestCellCaching:
             assert json.dumps(rows) == json.dumps(
                 speedup_suite(profiles, ["ipcp", "alecto"], accesses=ACCESSES)
             )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runner_store_is_used_at_every_job_count(
+        self, store, profiles, monkeypatch, jobs
+    ):
+        """``SuiteRunner(store=...)`` reads and fills its own store
+        without an ambient one, in-process as well as pooled."""
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        SuiteRunner(jobs=jobs, store=store).speedup_suite(
+            profiles, ["ipcp"], accesses=ACCESSES
+        )
+        assert store.stats.puts == 4  # (baseline + ipcp) x 2 benchmarks
+        before = simulation_count() + pool_simulation_count()
+        SuiteRunner(jobs=jobs, store=store).speedup_suite(
+            profiles, ["ipcp"], accesses=ACCESSES
+        )
+        assert simulation_count() + pool_simulation_count() - before == 0
+        assert store.stats.puts == 4
 
     def test_cell_rows_shares_cells_with_speedup_suite(self, store, profiles):
         with activate(store):

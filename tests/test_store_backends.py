@@ -5,7 +5,7 @@ exit-2 diagnostics, the byte-level record codec (including the
 pre-refactor on-disk layout read warm by the new stack), exactly-one-
 winner claim races on both lease arbiters, lease-TTL expiry handover,
 cross-backend export/import byte-identity, and claim-before-compute
-deferral in ``run_suite``.
+deferral in ``run_suite`` (experiments) and ``speedup_suite`` (cells).
 """
 
 import json
@@ -477,6 +477,128 @@ class TestClaimBeforeCompute:
         assert report.cached == ["fig01"]
         assert report.computed == []
         assert simulation_count() - before == 0
+
+    def test_suite_store_operations_in_order(self, tmp_path, monkeypatch):
+        """A cold then a warm ``run_suite`` issue exactly these store
+        operations: the experiment is leased around its cells, and the
+        warm run reads one record."""
+        from repro.experiments.common import cell_store_key
+        from repro.experiments.runner import resolve_experiments
+        from repro.store.keys import experiment_key
+        from repro.workloads.spec06 import SPEC06_PROFILES
+        from repro.workloads.spec17 import SPEC17_PROFILES
+
+        operations = []
+        for op in ("get", "put", "claim", "release"):
+            original = getattr(ResultStore, op)
+
+            def recorded(self, key, *args, _op=op, _original=original, **kw):
+                operations.append((_op, key.digest))
+                return _original(self, key, *args, **kw)
+
+            monkeypatch.setattr(ResultStore, op, recorded)
+
+        (name, _, params), = resolve_experiments(["fig01"], overrides=TINY)
+        whole = experiment_key(name, params).digest
+        cells = []
+        for profile in (*SPEC06_PROFILES.values(), *SPEC17_PROFILES.values()):
+            for spec in ("ipcp", "alecto"):
+                cell = cell_store_key(profile, spec, TINY["accesses"], 1, None, {})
+                cells += [("get", cell.digest), ("put", cell.digest)]
+
+        store = ResultStore(str(tmp_path / "store"))
+        run_suite(["fig01"], overrides=TINY, store=store)
+        assert operations == [
+            ("get", whole),
+            ("claim", whole),
+            *cells,
+            ("put", whole),
+            ("release", whole),
+        ]
+        del operations[:]
+        run_suite(["fig01"], overrides=TINY, store=store)
+        assert operations == [("get", whole)]
+
+
+def _cell_lease_case():
+    """Two tiny benchmarks, their clean rows, and one cell's key."""
+    from repro.experiments.common import cell_store_key
+    from repro.experiments.runner import SuiteRunner
+    from repro.workloads.profiles import profile
+
+    profiles = {
+        "tiny_stream": profile("tiny_stream", "test", True, 0.3, [
+            (1.0, "stream", {"footprint": 8 << 20, "run_length": 400}),
+        ]),
+        "tiny_compute": profile("tiny_compute", "test", False, 0.15, [
+            (1.0, "stride", {"stride": 64, "footprint": 256 << 10, "dwell": 2}),
+        ]),
+    }
+    clean = SuiteRunner(jobs=1).speedup_suite(profiles, ["ipcp"], accesses=300)
+    key = cell_store_key(profiles["tiny_stream"], "ipcp", 300, 1, None, {})
+    return profiles, clean, key
+
+
+class TestCellLeases:
+    """Claim-before-compute at cell grain, in-process and pooled."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_expired_peer_lease_on_a_cell_is_taken_over(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        from repro.experiments.runner import SuiteRunner
+
+        monkeypatch.setenv("REPRO_LEASE_TTL", "0.2")
+        profiles, clean, key = _cell_lease_case()
+        store = ResultStore(str(tmp_path / "store"))
+        peer = ResultStore(str(tmp_path / "store"))
+        assert peer.backend.claim(key.digest, 0.2)  # then the peer "dies"
+
+        rows = SuiteRunner(jobs=jobs, store=store).speedup_suite(
+            profiles, ["ipcp"], accesses=300
+        )
+        assert rows == clean
+        assert store.get_value(key) is not None
+        assert store.stats.puts == 4  # every cell, the taken-over one too
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_peer_cell_record_is_adopted_without_computing(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        from repro.experiments.runner import SuiteRunner, pool_simulation_count
+        from repro.sim import simulation_count
+
+        monkeypatch.setenv("REPRO_LEASE_TTL", "0.2")
+        profiles, clean, key = _cell_lease_case()
+        scratch = ResultStore(str(tmp_path / "scratch"))
+        SuiteRunner(jobs=1, store=scratch).speedup_suite(
+            profiles, ["ipcp"], accesses=300
+        )
+        record_bytes = scratch.backend.get_bytes(key.digest)
+        assert record_bytes is not None
+
+        store = ResultStore(str(tmp_path / "store"))
+        peer = ResultStore(str(tmp_path / "store"))
+        assert peer.backend.claim(key.digest, 60.0)
+
+        def land_record():
+            time.sleep(0.3)
+            peer.backend.put_bytes(key.digest, record_bytes)
+            peer.backend.release(key.digest)
+
+        publisher = threading.Thread(target=land_record)
+        publisher.start()
+        before = simulation_count() + pool_simulation_count()
+        try:
+            rows = SuiteRunner(jobs=jobs, store=store).speedup_suite(
+                profiles, ["ipcp"], accesses=300
+            )
+        finally:
+            publisher.join()
+        assert rows == clean
+        # Four cells: the peer's is adopted, the other three simulate.
+        assert simulation_count() + pool_simulation_count() - before == 3
+        assert store.stats.puts == 3
 
 
 class TestServeDaemonWiring:
