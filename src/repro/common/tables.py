@@ -110,15 +110,6 @@ class SetAssociativeTable(Generic[V]):
 
     # -- core operations ---------------------------------------------------
 
-    def _set_for(self, key: int) -> Dict[int, V]:
-        mixed = key & _MASK64
-        mixed = (mixed ^ (mixed >> 33)) * _MIX & _MASK64
-        index = (mixed ^ (mixed >> 33)) % self.num_sets
-        entries = self._sets.get(index)
-        if entries is None:
-            entries = self._sets[index] = {}
-        return entries
-
     def lookup(self, key: int, update_lru: bool = True) -> Optional[V]:
         """Return the value for ``key`` or None; counts a hit or miss."""
         stats = self.stats
@@ -153,21 +144,22 @@ class SetAssociativeTable(Generic[V]):
             The evicted ``(key, value)`` pair when an LRU victim was
             displaced, else None.
         """
-        entries = self._set_for(key)
-        if key in entries:
+        mixed = key & _MASK64
+        mixed = (mixed ^ (mixed >> 33)) * _MIX & _MASK64
+        index = (mixed ^ (mixed >> 33)) % self.num_sets
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = {}
+        elif key in entries:
             # Overwrite refreshes recency under LRU; under random
             # replacement the slot position is what matters and it stays.
             if self._is_lru:
                 del entries[key]
             entries[key] = value
             return None
-        return self._admit(entries, key, value)
-
-    def _admit(
-        self, entries: Dict[int, V], key: int, value: V
-    ) -> Optional[Tuple[int, V]]:
-        """Add absent ``key`` to its set, evicting a victim if it is full."""
-        self.stats.insertions += 1
+        # Admit the absent key, evicting a victim if the set is full.
+        stats = self.stats
+        stats.insertions += 1
         evicted = None
         if len(entries) >= self.ways:
             if self._is_lru:
@@ -176,10 +168,10 @@ class SetAssociativeTable(Generic[V]):
                 keys = list(entries)
                 victim_key = keys[self._rng.randrange(len(keys))]
             evicted = (victim_key, entries.pop(victim_key))
-            self.stats.evictions += 1
-            self._count -= 1
+            stats.evictions += 1
+        else:
+            self._count += 1
         entries[key] = value
-        self._count += 1
         return evicted
 
     def get_or_insert(self, key: int, factory: Callable[..., V], *args) -> V:
@@ -213,7 +205,19 @@ class SetAssociativeTable(Generic[V]):
                 return value
         stats.misses += 1
         value = factory(*args)
-        self._admit(entries, key, value)
+        # Admit the absent key, as insert() does.
+        stats.insertions += 1
+        if len(entries) >= self.ways:
+            if self._is_lru:
+                victim_key = next(iter(entries))
+            else:
+                keys = list(entries)
+                victim_key = keys[self._rng.randrange(len(keys))]
+            del entries[victim_key]
+            stats.evictions += 1
+        else:
+            self._count += 1
+        entries[key] = value
         return value
 
     def invalidate(self, key: int) -> bool:

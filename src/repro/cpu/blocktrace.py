@@ -606,6 +606,7 @@ class BlockTraceReader:
         load = AccessType.LOAD
         store = AccessType.STORE
         record_size = _RECORD.size
+        new_record = tuple.__new__
         position = bisect_right(self._starts, start) - 1
         with open(self.path, "rb") as fh:
             while position < len(self.blocks):
@@ -617,13 +618,10 @@ class BlockTraceReader:
                 hi = min(entry.records, stop - entry.start)
                 window = data[lo * record_size : hi * record_size]
                 for pc, address, nonmem, flags in _RECORD.iter_unpack(window):
-                    yield TraceRecord(
-                        pc=pc,
-                        address=address,
-                        access_type=store if flags & _FLAG_STORE else load,
-                        nonmem_before=nonmem,
-                        dependent=bool(flags & _FLAG_DEPENDENT),
-                    )
+                    yield new_record(TraceRecord, (
+                        pc, address, store if flags & _FLAG_STORE else load,
+                        nonmem, bool(flags & _FLAG_DEPENDENT),
+                    ))
                 position += 1
 
     # -- cursors -------------------------------------------------------------

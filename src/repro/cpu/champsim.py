@@ -116,6 +116,7 @@ def iter_champsim(path: str) -> Iterator[TraceRecord]:
     unpack = CHAMPSIM_RECORD.unpack
     load = AccessType.LOAD
     store = AccessType.STORE
+    new_record = tuple.__new__
     nonmem = 0
     with _open_compressed(path, "rb") as fh:
         while True:
@@ -136,21 +137,15 @@ def iter_champsim(path: str) -> Iterator[TraceRecord]:
             emitted = False
             for address in src_mem:
                 if address:
-                    yield TraceRecord(
-                        pc=ip,
-                        address=address,
-                        access_type=load,
-                        nonmem_before=0 if emitted else nonmem,
-                    )
+                    yield new_record(TraceRecord, (
+                        ip, address, load, 0 if emitted else nonmem, False,
+                    ))
                     emitted = True
             for address in dest_mem:
                 if address:
-                    yield TraceRecord(
-                        pc=ip,
-                        address=address,
-                        access_type=store,
-                        nonmem_before=0 if emitted else nonmem,
-                    )
+                    yield new_record(TraceRecord, (
+                        ip, address, store, 0 if emitted else nonmem, False,
+                    ))
                     emitted = True
             if emitted:
                 nonmem = 0

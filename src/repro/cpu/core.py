@@ -13,19 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque
+from typing import Deque, Tuple
 
 from repro.common.config import SystemConfig
-
-
-@dataclass(slots=True, eq=False)
-class _OutstandingMiss:
-    # eq=False: instances are compared (and removed from the deque) by
-    # identity; (completion_cycle, instruction_index) pairs are unique, so
-    # identity and value semantics coincide and identity skips a Python
-    # __eq__ call per scanned element.
-    completion_cycle: float
-    instruction_index: int
 
 
 @dataclass(slots=True)
@@ -59,38 +49,23 @@ class CoreModel:
         self.issue_width = config.issue_width
         self.max_outstanding = config.l1d.mshrs
         self.stats = CoreStats()
-        self._misses: Deque[_OutstandingMiss] = deque()
+        # Outstanding misses as ``(completion_cycle, instruction_index)``
+        # tuples in program order.  Instruction indices are unique and
+        # increase along the deque, so tuple order breaks completion-cycle
+        # ties on program order.
+        self._misses: Deque[Tuple[float, int]] = deque()
 
     @property
     def cycle(self) -> int:
         """Current cycle, rounded down for use as a hardware timestamp."""
         return int(self.stats.cycles)
 
-    def _retire_completed(self) -> None:
-        misses = self._misses
-        cycles = self.stats.cycles
-        while misses and misses[0].completion_cycle <= cycles:
-            misses.popleft()
-
     def _stall_for_oldest(self) -> None:
         """ROB-full stall: wait for the oldest (program-order) miss."""
-        oldest = self._misses.popleft()
-        if oldest.completion_cycle > self.stats.cycles:
-            self.stats.l1_miss_stalls += oldest.completion_cycle - self.stats.cycles
-            self.stats.cycles = oldest.completion_cycle
-
-    def _stall_for_earliest(self) -> None:
-        """MSHR-full stall: MSHRs free in completion order, so wait only
-        for the earliest-completing outstanding miss."""
-        misses = self._misses
-        earliest = misses[0]
-        for miss in misses:
-            if miss.completion_cycle < earliest.completion_cycle:
-                earliest = miss
-        misses.remove(earliest)
-        if earliest.completion_cycle > self.stats.cycles:
-            self.stats.l1_miss_stalls += earliest.completion_cycle - self.stats.cycles
-            self.stats.cycles = earliest.completion_cycle
+        completion = self._misses.popleft()[0]
+        if completion > self.stats.cycles:
+            self.stats.l1_miss_stalls += completion - self.stats.cycles
+            self.stats.cycles = completion
 
     def advance(self, instructions: int) -> None:
         """Issue ``instructions`` non-memory instructions."""
@@ -100,7 +75,7 @@ class CoreModel:
         if not misses:
             # Fast path: nothing outstanding, no stalls possible.  The
             # arithmetic must match the loop below exactly (one step of
-            # size ``instructions``).
+            # size ``instructions``); the simulator's loop inlines it.
             if instructions > 0:
                 stats.cycles += instructions / issue_width
                 stats.instructions += instructions
@@ -108,12 +83,11 @@ class CoreModel:
         remaining = instructions
         while remaining > 0:
             cycles = stats.cycles
-            while misses and misses[0].completion_cycle <= cycles:
+            while misses and misses[0][0] <= cycles:
                 misses.popleft()
             if misses:
-                oldest = misses[0]
                 headroom = self.rob_entries - (
-                    stats.instructions - oldest.instruction_index
+                    stats.instructions - misses[0][1]
                 )
                 if headroom <= 0:
                     self._stall_for_oldest()
@@ -141,17 +115,26 @@ class CoreModel:
         misses = self._misses
         if dependent and misses:
             # Serialise behind the most recent miss.
-            newest = max(m.completion_cycle for m in misses)
+            newest = max(misses)[0]
             if newest > stats.cycles:
                 stats.l1_miss_stalls += newest - stats.cycles
                 stats.cycles = newest
             misses.clear()
         if misses:
-            self.advance(1)
-        else:
-            # advance(1) fast path inlined: one step, no stall possible.
-            stats.cycles += 1 / self.issue_width
-            stats.instructions += 1
+            # advance(1) inlined: retire what has completed and stall
+            # while the ROB is full behind the oldest miss.
+            rob_entries = self.rob_entries
+            while True:
+                cycles = stats.cycles
+                while misses and misses[0][0] <= cycles:
+                    misses.popleft()
+                if not misses or rob_entries - (
+                    stats.instructions - misses[0][1]
+                ) > 0:
+                    break
+                self._stall_for_oldest()
+        stats.cycles += 1 / self.issue_width
+        stats.instructions += 1
         if is_load:
             stats.loads += 1
         else:
@@ -159,15 +142,19 @@ class CoreModel:
             return
         if latency <= self.HIT_LATENCY_THRESHOLD:
             return
-        self._retire_completed()
+        cycles = stats.cycles
+        while misses and misses[0][0] <= cycles:
+            misses.popleft()
         while len(misses) >= self.max_outstanding:
-            self._stall_for_earliest()
-        misses.append(
-            _OutstandingMiss(
-                completion_cycle=stats.cycles + latency,
-                instruction_index=stats.instructions,
-            )
-        )
+            # MSHR-full stall: MSHRs free in completion order, so wait only
+            # for the earliest-completing miss (the oldest one on a tie).
+            earliest = min(misses)
+            misses.remove(earliest)
+            completion = earliest[0]
+            if completion > stats.cycles:
+                stats.l1_miss_stalls += completion - stats.cycles
+                stats.cycles = completion
+        misses.append((stats.cycles + latency, stats.instructions))
 
     def drain(self) -> None:
         """Wait for all outstanding misses (end-of-trace cleanup)."""

@@ -7,45 +7,45 @@ non-memory instructions committed since the previous one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, List, Sequence
 
 from repro.common.types import AccessType
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(
+    namedtuple(
+        "TraceRecord",
+        ("pc", "address", "access_type", "nonmem_before", "dependent"),
+        defaults=(AccessType.LOAD, 3, False),
+    )
+):
     """One memory instruction in a committed-instruction trace.
+
+    Immutable and tuple-backed, as :class:`~repro.common.types.DemandAccess`
+    is: the decoders and generators build one per record with
+    ``tuple.__new__(TraceRecord, (pc, address, access_type, nonmem_before,
+    dependent))``, which skips argument parsing, and the simulator unpacks
+    it in its ``for`` statement.  Keyword construction with the defaults
+    below works as for any named tuple.
 
     Attributes:
         pc: address of the memory instruction.
         address: byte address accessed.
-        access_type: load or store.
+        access_type: load or store (default load).
         nonmem_before: non-memory instructions committed since the previous
-            memory instruction.
+            memory instruction (default 3).
         dependent: True when the address depends on the previous load's
             value (pointer chasing); such a load cannot overlap with the
-            previous miss.
+            previous miss (default False).
     """
 
-    pc: int
-    address: int
-    access_type: AccessType = AccessType.LOAD
-    nonmem_before: int = 3
-    dependent: bool = False
+    __slots__ = ()
 
     @property
     def instructions(self) -> int:
         """Committed instructions this record accounts for (itself included)."""
         return self.nonmem_before + 1
-
-    def __getstate__(self):
-        return (self.pc, self.address, self.access_type,
-                self.nonmem_before, self.dependent)
-
-    def __setstate__(self, state) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
 
 
 def interleave_traces(traces: Sequence[Sequence[TraceRecord]]) -> Iterator[tuple]:

@@ -271,6 +271,7 @@ class TraceReader:
         load = AccessType.LOAD
         store = AccessType.STORE
         record_size = _RECORD.size
+        new_record = tuple.__new__
         total = 0
         with gzip.open(self.path, "rb") as fh:
             _read_header(fh)
@@ -282,13 +283,10 @@ class TraceReader:
                     break
                 frame = _read_exact(fh, n * record_size, "frame records")
                 for pc, address, nonmem, flags in _RECORD.iter_unpack(frame):
-                    yield TraceRecord(
-                        pc=pc,
-                        address=address,
-                        access_type=store if flags & _FLAG_STORE else load,
-                        nonmem_before=nonmem,
-                        dependent=bool(flags & _FLAG_DEPENDENT),
-                    )
+                    yield new_record(TraceRecord, (
+                        pc, address, store if flags & _FLAG_STORE else load,
+                        nonmem, bool(flags & _FLAG_DEPENDENT),
+                    ))
                 total += n
             self._check_footer(fh, total)
         self.count = total

@@ -15,6 +15,7 @@ paid an O(ways) tag scan plus an O(ways) ``min()`` per eviction.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -40,11 +41,14 @@ class PrefetchRecord:
     line: int = 0
 
 
-@dataclass(slots=True)
 class _Line:
-    ready_cycle: int = 0
-    dirty: bool = False
-    prefetch: Optional[PrefetchRecord] = None
+    """One resident line.
+
+    A slots class with no ``__init__``: :meth:`Cache.fill` sets all three
+    fields, so building a line enters no Python frame.
+    """
+
+    __slots__ = ("ready_cycle", "dirty", "prefetch")
 
 
 @dataclass(slots=True)
@@ -66,13 +70,15 @@ class CacheStats:
         return self.demand_hits / self.demand_accesses
 
 
-@dataclass(slots=True)
-class EvictionInfo:
-    """Describes a line displaced from the cache."""
+class EvictionInfo(namedtuple("EvictionInfo", ("line", "dirty", "prefetch"))):
+    """Describes a line displaced from the cache.
 
-    line: int
-    dirty: bool
-    prefetch: Optional[PrefetchRecord]
+    Immutable and tuple-backed (built with ``tuple.__new__`` on each
+    eviction); ``prefetch`` is the victim's unconsumed
+    :class:`PrefetchRecord`, or None.
+    """
+
+    __slots__ = ()
 
     @property
     def was_unused_prefetch(self) -> bool:
@@ -112,12 +118,6 @@ class Cache:
         self._resident = 0
 
     # -- helpers -------------------------------------------------------------
-
-    def _find(self, line: int) -> Optional[_Line]:
-        entries = self._sets.get(line % self.num_sets)
-        if entries is None:
-            return None
-        return entries.get(line)
 
     @property
     def capacity_lines(self) -> int:
@@ -202,7 +202,9 @@ class Cache:
         if len(entries) >= self.ways:
             victim_line = next(iter(entries))
             victim = entries.pop(victim_line)
-            evicted = EvictionInfo(victim_line, victim.dirty, victim.prefetch)
+            evicted = tuple.__new__(
+                EvictionInfo, (victim_line, victim.dirty, victim.prefetch)
+            )
             if victim.prefetch is not None:
                 self.stats.prefetched_evicted_unused += 1
             # Reuse the displaced _Line object for the incoming line; the
@@ -212,7 +214,11 @@ class Cache:
             victim.prefetch = prefetch
             entries[line] = victim
             return evicted
-        entries[line] = _Line(ready_cycle, is_write, prefetch)
+        entry = _Line()
+        entry.ready_cycle = ready_cycle
+        entry.dirty = is_write
+        entry.prefetch = prefetch
+        entries[line] = entry
         self._resident += 1
         return None
 

@@ -10,25 +10,32 @@ callbacks consumed by the selection algorithms.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.common.config import SystemConfig
 from repro.common.types import PrefetchCandidate
-from repro.memory.cache import Cache, EvictionInfo, PrefetchRecord
+from repro.memory.cache import Cache, PrefetchRecord
 from repro.memory.dram import DRAM
 
 
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of one demand access walking the hierarchy."""
+class AccessResult(
+    namedtuple(
+        "AccessResult",
+        ("latency", "hit_level", "prefetch_record", "prefetch_timely"),
+        defaults=(None, False),
+    )
+):
+    """Outcome of one demand access walking the hierarchy.
 
-    latency: int
-    hit_level: str  # "l1", "l2", "llc", "dram"
-    prefetch_record: Optional[PrefetchRecord] = None
-    prefetch_timely: bool = False
+    Immutable and tuple-backed (built with ``tuple.__new__`` once per
+    access); ``hit_level`` is one of ``"l1"``, ``"l2"``, ``"llc"`` and
+    ``"dram"``.
+    """
+
+    __slots__ = ()
 
     @property
     def was_covered_by_prefetch(self) -> bool:
@@ -142,10 +149,8 @@ class MemoryHierarchy:
             mshrs=config.l2.mshrs,
         )
         self.shared = shared if shared is not None else SharedMemory(config)
-        # Bound-method and latency caches for the per-access walk; the
-        # cache/DRAM objects are fixed for the hierarchy's lifetime.
-        self._l1_demand = self.l1.demand_access
-        self._l1_fill = self.l1.fill
+        # Bound-method caches for the per-access walk; the cache/DRAM
+        # objects are fixed for the hierarchy's lifetime.
         self._l2_demand = self.l2.demand_access
         self._l2_fill = self.l2.fill
         self._llc_demand = self.shared.llc.demand_access
@@ -172,53 +177,78 @@ class MemoryHierarchy:
 
     # -- internal helpers ------------------------------------------------------
 
-    def _note_eviction(self, evicted: Optional[EvictionInfo]) -> None:
-        if evicted is None or evicted.prefetch is None:
-            return
-        record = evicted.prefetch
+    def _note_eviction(self, record: PrefetchRecord) -> None:
+        """A prefetched line was displaced before any demand use.
+
+        Callers check the victim's ``prefetch`` first, so ordinary
+        evictions cost no call.
+        """
         self.ledger.record_eviction(record.prefetcher)
         if self.on_prefetch_evicted is not None:
             self.on_prefetch_evicted(record)
 
-    def _note_use(self, record: Optional[PrefetchRecord], timely: bool) -> None:
-        if record is None:
-            return
+    def _note_use(self, record: PrefetchRecord, timely: bool) -> None:
         self.ledger.record_use(record.prefetcher, timely)
         if self.on_prefetch_used is not None:
             self.on_prefetch_used(record, timely)
 
-    def _drain_outstanding(self, cycle: int) -> None:
-        heap = self._outstanding_prefetches
-        while heap and heap[0] <= cycle:
-            heapq.heappop(heap)
-
     def outstanding_prefetches(self, cycle: int) -> int:
         """Number of prefetch fills still in flight at ``cycle``."""
-        self._drain_outstanding(cycle)
-        return len(self._outstanding_prefetches)
+        heap = self._outstanding_prefetches
+        while heap and heap[0] <= cycle:
+            heappop(heap)
+        return len(heap)
 
     # -- demand path ------------------------------------------------------------
 
     def demand_access(self, line: int, cycle: int, is_write: bool = False) -> AccessResult:
-        """Walk the hierarchy for a demand request; fills all levels on miss."""
+        """Walk the hierarchy for a demand request; fills all levels on miss.
+
+        The L1 tag check is :meth:`Cache.demand_access` inlined: most
+        demands hit the L1, and this spares them a method frame.
+        """
         if self._prefetch_queue:
             self._drain_prefetch_queue(cycle)
-        hit, wait, record, timely = self._l1_demand(line, cycle, is_write)
-        if hit:
+        l1 = self.l1
+        l1_stats = l1.stats
+        l1_stats.demand_accesses += 1
+        entries = l1._sets.get(line % l1.num_sets)
+        entry = entries.get(line) if entries is not None else None
+        if entry is not None:
+            l1_stats.demand_hits += 1
+            # Re-insert at the MRU end of the recency order.
+            del entries[line]
+            entries[line] = entry
+            if is_write:
+                entry.dirty = True
+            wait = entry.ready_cycle - cycle
+            if wait < 0:
+                wait = 0
+            timely = wait == 0
+            record = entry.prefetch
             if record is not None:
+                # First demand use consumes the prefetch provenance.
+                entry.prefetch = None
+                if timely:
+                    l1_stats.prefetch_hits_timely += 1
+                else:
+                    l1_stats.prefetch_hits_untimely += 1
                 self._note_use(record, timely)
-            return AccessResult(self.l1.latency + wait, "l1", record, timely)
+            return tuple.__new__(
+                AccessResult, (l1.latency + wait, "l1", record, timely)
+            )
+        l1_stats.demand_misses += 1
 
-        latency = self.l1.latency
+        latency = l1.latency
         hit, wait, record, timely = self._l2_demand(line, cycle, is_write)
         if hit:
             latency += self.l2.latency + wait
             if record is not None:
                 self._note_use(record, timely)
-            evicted = self._l1_fill(line, cycle, ready_cycle=cycle + latency)
-            if evicted is not None:
-                self._note_eviction(evicted)
-            return AccessResult(latency, "l2", record, timely)
+            evicted = l1.fill(line, cycle, cycle + latency)
+            if evicted is not None and evicted.prefetch is not None:
+                self._note_eviction(evicted.prefetch)
+            return tuple.__new__(AccessResult, (latency, "l2", record, timely))
 
         hit, wait, record, timely = self._llc_demand(line, cycle, is_write)
         if hit:
@@ -226,37 +256,38 @@ class MemoryHierarchy:
             if record is not None:
                 self._note_use(record, timely)
             ready = cycle + latency
-            evicted = self._l2_fill(line, cycle, ready_cycle=ready)
-            if evicted is not None:
-                self._note_eviction(evicted)
-            evicted = self._l1_fill(line, cycle, ready_cycle=ready)
-            if evicted is not None:
-                self._note_eviction(evicted)
-            return AccessResult(latency, "llc", record, timely)
+            evicted = self._l2_fill(line, cycle, ready)
+            if evicted is not None and evicted.prefetch is not None:
+                self._note_eviction(evicted.prefetch)
+            evicted = l1.fill(line, cycle, ready)
+            if evicted is not None and evicted.prefetch is not None:
+                self._note_eviction(evicted.prefetch)
+            return tuple.__new__(AccessResult, (latency, "llc", record, timely))
 
-        latency += self.shared.llc.latency + self._dram_access(
-            line, cycle, is_prefetch=False
-        )
+        latency += self.shared.llc.latency + self._dram_access(line, cycle, False)
         ready = cycle + latency
-        evicted = self._llc_fill(line, cycle, ready_cycle=ready)
-        if evicted is not None:
-            self._note_eviction(evicted)
-        evicted = self._l2_fill(line, cycle, ready_cycle=ready)
-        if evicted is not None:
-            self._note_eviction(evicted)
-        evicted = self._l1_fill(line, cycle, ready_cycle=ready)
-        if evicted is not None:
-            self._note_eviction(evicted)
-        return AccessResult(latency, "dram")
+        evicted = self._llc_fill(line, cycle, ready)
+        if evicted is not None and evicted.prefetch is not None:
+            self._note_eviction(evicted.prefetch)
+        evicted = self._l2_fill(line, cycle, ready)
+        if evicted is not None and evicted.prefetch is not None:
+            self._note_eviction(evicted.prefetch)
+        evicted = l1.fill(line, cycle, ready)
+        if evicted is not None and evicted.prefetch is not None:
+            self._note_eviction(evicted.prefetch)
+        return tuple.__new__(AccessResult, (latency, "dram", None, False))
 
     # -- prefetch path ------------------------------------------------------------
 
     def _drain_prefetch_queue(self, cycle: int) -> None:
         """Issue queued prefetches for which an MSHR has freed up."""
         queue = self._prefetch_queue
+        heap = self._outstanding_prefetches
+        mshrs = self.l1.mshrs
         while queue:
-            self._drain_outstanding(cycle)
-            if len(self._outstanding_prefetches) >= self.l1.mshrs:
+            while heap and heap[0] <= cycle:
+                heappop(heap)
+            if len(heap) >= mshrs:
                 return
             self._issue_now(queue.popleft(), cycle)
 
@@ -268,13 +299,27 @@ class MemoryHierarchy:
         full.  Candidates arriving while the MSHRs are busy wait in the
         prefetch queue and issue as fills complete.
         """
+        line = candidate.line
         to_next_level = candidate.to_next_level
-        l2_resident = to_next_level and self.l2.probe(candidate.line)
-        if l2_resident or self.l1.probe(candidate.line):
+        # Residency probes (Cache.probe, inlined): the L2 for a next-level
+        # candidate, then the L1.
+        if to_next_level:
+            l2 = self.l2
+            entries = l2._sets.get(line % l2.num_sets)
+            resident = entries is not None and line in entries
+        else:
+            resident = False
+        if not resident:
+            l1 = self.l1
+            entries = l1._sets.get(line % l1.num_sets)
+            resident = entries is not None and line in entries
+        if resident:
             self.ledger.record_drop(candidate.prefetcher)
             return False
-        self._drain_outstanding(cycle)
-        if len(self._outstanding_prefetches) >= self.l1.mshrs:
+        heap = self._outstanding_prefetches
+        while heap and heap[0] <= cycle:
+            heappop(heap)
+        if len(heap) >= self.l1.mshrs:
             if len(self._prefetch_queue) >= self.prefetch_queue_depth:
                 self.ledger.record_drop(candidate.prefetcher)
                 return False
@@ -295,39 +340,45 @@ class MemoryHierarchy:
                 candidates always re-probe because residency may have
                 changed while they waited.
         """
-        fill_l1 = not candidate.to_next_level
-        # Locate the line to price the fill.
-        if not l2_known_absent and self.l2.probe(candidate.line):
-            latency = self.l2.latency
-        elif self.llc.probe(candidate.line):
-            latency = self.l2.latency + self.llc.latency
+        line = candidate.line
+        l2 = self.l2
+        llc = self.shared.llc
+        # Locate the line to price the fill (Cache.probe, inlined).
+        if l2_known_absent:
+            in_l2 = False
         else:
-            dram_latency = self.dram.access(candidate.line, cycle, is_prefetch=True)
-            latency = self.l2.latency + self.llc.latency + dram_latency
+            entries = l2._sets.get(line % l2.num_sets)
+            in_l2 = entries is not None and line in entries
+        if in_l2:
+            latency = l2.latency
+        else:
+            entries = llc._sets.get(line % llc.num_sets)
+            if entries is not None and line in entries:
+                latency = l2.latency + llc.latency
+            else:
+                latency = l2.latency + llc.latency + self._dram_access(
+                    line, cycle, True
+                )
 
         ready = cycle + latency
+        prefetcher = candidate.prefetcher
         record = PrefetchRecord(
-            prefetcher=candidate.prefetcher,
-            pc=candidate.pc,
-            issue_cycle=cycle,
-            ready_cycle=ready,
-            core_id=candidate.core_id,
-            line=candidate.line,
+            prefetcher, candidate.pc, cycle, ready, candidate.core_id, line
         )
         candidate.issue_cycle = cycle
-        self.ledger.record_issue(candidate.prefetcher)
-        heapq.heappush(self._outstanding_prefetches, ready)
+        self.ledger.record_issue(prefetcher)
+        heappush(self._outstanding_prefetches, ready)
 
-        if fill_l1:
-            self._note_eviction(
-                self.l1.fill(candidate.line, cycle, ready_cycle=ready, prefetch=record)
-            )
+        if candidate.to_next_level:
+            evicted = self._l2_fill(line, cycle, ready, record)
+        else:
+            evicted = self.l1.fill(line, cycle, ready, record)
+            if evicted is not None and evicted.prefetch is not None:
+                self._note_eviction(evicted.prefetch)
             # The fill passes through the L2 (mostly-inclusive hierarchy),
             # so an early prefetch evicted from the small L1 before use
             # still serves the later demand from the L2.
-            self._note_eviction(self.l2.fill(candidate.line, cycle, ready_cycle=ready))
-        else:
-            self._note_eviction(
-                self.l2.fill(candidate.line, cycle, ready_cycle=ready, prefetch=record)
-            )
+            evicted = self._l2_fill(line, cycle, ready)
+        if evicted is not None and evicted.prefetch is not None:
+            self._note_eviction(evicted.prefetch)
         return True

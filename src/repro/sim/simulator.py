@@ -178,6 +178,8 @@ class _CoreContext:
         position = self.position
         core = self.core
         core_stats = core.stats
+        outstanding = core._misses
+        issue_width = core.issue_width
         advance = core.advance
         memory_access = core.memory_access
         hierarchy_demand = self.hierarchy.demand_access
@@ -198,26 +200,28 @@ class _CoreContext:
         load = AccessType.LOAD
         new_tuple = tuple.__new__
 
-        for record in records:
+        for pc, address, access_type, nonmem_before, dependent in records:
             position += 1
-            advance(record.nonmem_before)
+            if nonmem_before > 0:
+                if outstanding:
+                    advance(nonmem_before)
+                else:
+                    # CoreModel.advance's fast path (nothing outstanding).
+                    core_stats.cycles += nonmem_before / issue_width
+                    core_stats.instructions += nonmem_before
             cycle = int(core_stats.cycles)
-            access_type = record.access_type
-            address = record.address
             line = address >> line_shift
-            result = hierarchy_demand(line, cycle, access_type is store)
-            if result.hit_level != "l1" and result.prefetch_record is None:
-                metrics.uncovered += 1
-            memory_access(
-                result.latency,
-                is_load=access_type is load,
-                dependent=record.dependent,
+            latency, hit_level, covered_by, _ = hierarchy_demand(
+                line, cycle, access_type is store
             )
+            if covered_by is None and hit_level != "l1":
+                metrics.uncovered += 1
+            memory_access(latency, access_type is load, dependent)
 
             if selector is None:
                 continue
             access = new_tuple(DemandAccess, (
-                record.pc, address, access_type, core_id, position, line,
+                pc, address, access_type, core_id, position, line,
                 address >> REGION_SHIFT,
             ))
             final = select(access)

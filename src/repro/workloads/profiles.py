@@ -114,6 +114,7 @@ class BenchmarkProfile:
             cumulative.append(total)
         gap_carry = 0.0
         last = len(cumulative) - 1
+        new_record = tuple.__new__
         for _ in range(num_accesses):
             pick = rng.random() * total
             index = min(bisect_left(cumulative, pick), last)
@@ -132,13 +133,9 @@ class BenchmarkProfile:
                 if rng.random() < self.store_ratio
                 else AccessType.LOAD
             )
-            yield TraceRecord(
-                pc=pattern.pc,
-                address=address,
-                access_type=access_type,
-                nonmem_before=nonmem,
-                dependent=dependent,
-            )
+            yield new_record(TraceRecord, (
+                pattern.pc, address, access_type, nonmem, dependent,
+            ))
 
     def generate(
         self,

@@ -11,10 +11,17 @@ rewrite to the old semantics three ways:
 2. the same for the set-associative table, under both LRU and random
    replacement (the random-victim RNG sequence must match exactly);
 3. a golden end-to-end run: one mid-size profile simulated with the real
-   cache and with the reference cache monkeypatched into the hierarchy,
+   cache and hierarchy, and with the reference cache driven by a port of
+   the hierarchy walk that called ``Cache`` methods for every level,
    asserting identical stats, IPC and per-prefetcher ledger counts.
+
+The real :class:`~repro.memory.hierarchy.MemoryHierarchy` resolves L1
+hits and residency probes by reading ``Cache._sets`` directly, which the
+reference cache (sets are lists) does not support; so the reference side
+runs :class:`ReferenceHierarchy`, which keeps the earlier walk.
 """
 
+import heapq
 import random
 
 import pytest
@@ -22,6 +29,7 @@ import pytest
 from repro.common.tables import SetAssociativeTable
 from repro.common.hashing import index_hash
 from repro.memory.cache import Cache, CacheStats, EvictionInfo, PrefetchRecord
+from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 
 
 # -- reference models (ports of the pre-rewrite list-based implementations) --
@@ -206,6 +214,129 @@ class ReferenceTable:
         return sum(len(ways) for ways in self._sets.values())
 
 
+class ReferenceHierarchy(MemoryHierarchy):
+    """The hierarchy walk that went through a ``Cache`` method per level.
+
+    A port of the demand and prefetch paths from before the L1 hit and
+    the residency probes were inlined: only ``Cache`` methods touch the
+    caches, so the list-based :class:`ReferenceCache` can stand in for
+    :class:`Cache` under it.
+    """
+
+    def _note_eviction(self, evicted):
+        if evicted is None or evicted.prefetch is None:
+            return
+        record = evicted.prefetch
+        self.ledger.record_eviction(record.prefetcher)
+        if self.on_prefetch_evicted is not None:
+            self.on_prefetch_evicted(record)
+
+    def _note_use(self, record, timely):
+        if record is None:
+            return
+        self.ledger.record_use(record.prefetcher, timely)
+        if self.on_prefetch_used is not None:
+            self.on_prefetch_used(record, timely)
+
+    def _drain_outstanding(self, cycle):
+        heap = self._outstanding_prefetches
+        while heap and heap[0] <= cycle:
+            heapq.heappop(heap)
+
+    def demand_access(self, line, cycle, is_write=False):
+        if self._prefetch_queue:
+            self._drain_prefetch_queue(cycle)
+        hit, wait, record, timely = self.l1.demand_access(line, cycle, is_write)
+        if hit:
+            self._note_use(record, timely)
+            return AccessResult(self.l1.latency + wait, "l1", record, timely)
+
+        latency = self.l1.latency
+        hit, wait, record, timely = self.l2.demand_access(line, cycle, is_write)
+        if hit:
+            latency += self.l2.latency + wait
+            self._note_use(record, timely)
+            self._note_eviction(
+                self.l1.fill(line, cycle, ready_cycle=cycle + latency)
+            )
+            return AccessResult(latency, "l2", record, timely)
+
+        hit, wait, record, timely = self.llc.demand_access(line, cycle, is_write)
+        if hit:
+            latency += self.llc.latency + wait
+            self._note_use(record, timely)
+            ready = cycle + latency
+            self._note_eviction(self.l2.fill(line, cycle, ready_cycle=ready))
+            self._note_eviction(self.l1.fill(line, cycle, ready_cycle=ready))
+            return AccessResult(latency, "llc", record, timely)
+
+        latency += self.llc.latency + self.dram.access(
+            line, cycle, is_prefetch=False
+        )
+        ready = cycle + latency
+        self._note_eviction(self.llc.fill(line, cycle, ready_cycle=ready))
+        self._note_eviction(self.l2.fill(line, cycle, ready_cycle=ready))
+        self._note_eviction(self.l1.fill(line, cycle, ready_cycle=ready))
+        return AccessResult(latency, "dram")
+
+    def _drain_prefetch_queue(self, cycle):
+        queue = self._prefetch_queue
+        while queue:
+            self._drain_outstanding(cycle)
+            if len(self._outstanding_prefetches) >= self.l1.mshrs:
+                return
+            self._issue_now(queue.popleft(), cycle)
+
+    def issue_prefetch(self, candidate, cycle):
+        to_next_level = candidate.to_next_level
+        l2_resident = to_next_level and self.l2.probe(candidate.line)
+        if l2_resident or self.l1.probe(candidate.line):
+            self.ledger.record_drop(candidate.prefetcher)
+            return False
+        self._drain_outstanding(cycle)
+        if len(self._outstanding_prefetches) >= self.l1.mshrs:
+            if len(self._prefetch_queue) >= self.prefetch_queue_depth:
+                self.ledger.record_drop(candidate.prefetcher)
+                return False
+            self._prefetch_queue.append(candidate)
+            return True
+        return self._issue_now(candidate, cycle, l2_known_absent=to_next_level)
+
+    def _issue_now(self, candidate, cycle, l2_known_absent=False):
+        fill_l1 = not candidate.to_next_level
+        if not l2_known_absent and self.l2.probe(candidate.line):
+            latency = self.l2.latency
+        elif self.llc.probe(candidate.line):
+            latency = self.l2.latency + self.llc.latency
+        else:
+            dram_latency = self.dram.access(candidate.line, cycle, is_prefetch=True)
+            latency = self.l2.latency + self.llc.latency + dram_latency
+
+        ready = cycle + latency
+        record = PrefetchRecord(
+            prefetcher=candidate.prefetcher,
+            pc=candidate.pc,
+            issue_cycle=cycle,
+            ready_cycle=ready,
+            core_id=candidate.core_id,
+            line=candidate.line,
+        )
+        candidate.issue_cycle = cycle
+        self.ledger.record_issue(candidate.prefetcher)
+        heapq.heappush(self._outstanding_prefetches, ready)
+
+        if fill_l1:
+            self._note_eviction(
+                self.l1.fill(candidate.line, cycle, ready_cycle=ready, prefetch=record)
+            )
+            self._note_eviction(self.l2.fill(candidate.line, cycle, ready_cycle=ready))
+        else:
+            self._note_eviction(
+                self.l2.fill(candidate.line, cycle, ready_cycle=ready, prefetch=record)
+            )
+        return True
+
+
 # -- randomized stream parity -------------------------------------------------
 
 
@@ -328,9 +459,10 @@ def test_prefetch_ledger_matches_reference_on_random_streams(
     def run(use_reference):
         if use_reference:
             monkeypatch.setattr(hierarchy_module, "Cache", ReferenceCache)
+            hierarchy = ReferenceHierarchy(SystemConfig())
         else:
             monkeypatch.setattr(hierarchy_module, "Cache", Cache)
-        hierarchy = hierarchy_module.MemoryHierarchy(SystemConfig())
+            hierarchy = MemoryHierarchy(SystemConfig())
         rng = random.Random(seed + 50)
         cycle = 0
         for _ in range(4000):
@@ -396,8 +528,10 @@ def _simulate_profile(accesses=6000):
 def test_golden_parity_full_simulation(monkeypatch):
     """One mid-size profile, old cache logic vs new: identical stats."""
     import repro.memory.hierarchy as hierarchy_module
+    import repro.sim.simulator as simulator_module
 
     fast = _simulate_profile()
     monkeypatch.setattr(hierarchy_module, "Cache", ReferenceCache)
+    monkeypatch.setattr(simulator_module, "MemoryHierarchy", ReferenceHierarchy)
     slow = _simulate_profile()
     assert _comparable(fast) == _comparable(slow)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.common.types import PrefetchCandidate
+from repro.memory.dram import DRAM
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 
 
@@ -45,6 +46,39 @@ class TestDemandPath:
         dram = h.demand_access(1, cycle=0).latency
         l1 = h.demand_access(1, cycle=10_000).latency
         assert l1 < dram
+
+
+class TestDemandLatency:
+    """The exact demand latency at each level under Table I (L1 4, L2 15,
+    LLC 35 cycles).  An LLC hit or a DRAM access leaves the L2 term out;
+    that is the model as its rows were recorded, so a walk that adds the
+    L2 latency on those paths moves every row."""
+
+    LINE = 77
+
+    def test_l1_hit_costs_l1_latency(self):
+        h = make_hierarchy()
+        h.l1.fill(self.LINE, cycle=0, ready_cycle=0)
+        result = h.demand_access(self.LINE, cycle=100)
+        assert (result.hit_level, result.latency) == ("l1", 4)
+
+    def test_l2_hit_costs_l1_plus_l2(self):
+        h = make_hierarchy()
+        h.l2.fill(self.LINE, cycle=0, ready_cycle=0)
+        result = h.demand_access(self.LINE, cycle=100)
+        assert (result.hit_level, result.latency) == ("l2", 4 + 15)
+
+    def test_llc_hit_has_no_l2_term(self):
+        h = make_hierarchy()
+        h.llc.fill(self.LINE, cycle=0, ready_cycle=0)
+        result = h.demand_access(self.LINE, cycle=100)
+        assert (result.hit_level, result.latency) == ("llc", 4 + 35)
+
+    def test_dram_access_has_no_l2_term(self):
+        config = SystemConfig()
+        dram = DRAM(config.dram).access(self.LINE, 100, is_prefetch=False)
+        result = MemoryHierarchy(config).demand_access(self.LINE, cycle=100)
+        assert (result.hit_level, result.latency) == ("dram", 4 + 35 + dram)
 
 
 class TestPrefetchPath:

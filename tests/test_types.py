@@ -12,6 +12,8 @@ from repro.common.types import (
     line_address,
     region_address,
 )
+from repro.memory.cache import EvictionInfo, PrefetchRecord
+from repro.memory.hierarchy import AccessResult
 
 
 class TestAddressHelpers:
@@ -98,6 +100,44 @@ class TestSlottedPickling:
     def test_no_instance_dict(self):
         access = DemandAccess(pc=1, address=2)
         assert not hasattr(access, "__dict__")
+
+
+class TestMemorySideResults:
+    """AccessResult and EvictionInfo are tuple-backed; their properties
+    still read the named fields."""
+
+    RECORD = PrefetchRecord(
+        prefetcher="stride", pc=0x400, issue_cycle=3, ready_cycle=90, line=7
+    )
+
+    def test_access_result_defaults_and_coverage(self):
+        plain = AccessResult(latency=4, hit_level="l1")
+        assert plain.prefetch_record is None and plain.prefetch_timely is False
+        assert not plain.was_covered_by_prefetch
+        covered = tuple.__new__(AccessResult, (19, "l2", self.RECORD, True))
+        assert covered.was_covered_by_prefetch
+        assert covered == AccessResult(19, "l2", self.RECORD, True)
+        latency, hit_level, record, timely = covered
+        assert (latency, hit_level, record, timely) == (
+            19, "l2", self.RECORD, True)
+
+    def test_eviction_info_unused_prefetch(self):
+        clean = EvictionInfo(line=7, dirty=True, prefetch=None)
+        assert not clean.was_unused_prefetch
+        unused = tuple.__new__(EvictionInfo, (7, False, self.RECORD))
+        assert unused.was_unused_prefetch
+        assert unused.prefetch is self.RECORD
+
+    def test_results_are_immutable(self):
+        result = AccessResult(4, "l1")
+        evicted = EvictionInfo(7, False, None)
+        for value, field in ((result, "latency"), (evicted, "dirty")):
+            try:
+                setattr(value, field, 0)
+                raised = False
+            except AttributeError:
+                raised = True
+            assert raised
 
 
 @given(address=st.integers(0, 2**50))
